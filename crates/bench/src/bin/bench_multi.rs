@@ -24,7 +24,9 @@
 //! * the homogeneous makespan curve never rises as devices are added.
 
 use apsp_core::options::BoundaryOptions;
-use apsp_core::{ooc_boundary_multi, MultiGpuStats, StorageBackend, TileStore};
+use apsp_core::{
+    ooc_boundary_multi_supervised, MultiGpuStats, StorageBackend, Supervisor, TileStore,
+};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
 use apsp_graph::{CsrGraph, Dist};
@@ -67,8 +69,9 @@ fn run_fleet(g: &CsrGraph, case: &FleetCase, opts: &BoundaryOptions) -> FleetRow
         .collect();
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).expect("host store");
     let wall = Instant::now();
-    let stats = ooc_boundary_multi(&mut devs, g, &mut store, opts)
-        .unwrap_or_else(|e| panic!("fleet {} failed: {e}", case.label));
+    let stats =
+        ooc_boundary_multi_supervised(&mut devs, g, &mut store, opts, &Supervisor::unarmed())
+            .unwrap_or_else(|e| panic!("fleet {} failed: {e}", case.label));
     let wall_secs = wall.elapsed().as_secs_f64();
     let matrix = store.to_dist_matrix().expect("store readback");
     FleetRow {

@@ -6,8 +6,8 @@ use crate::{
     build_analogs, fmt_secs, scale_or, scaled_johnson, scaled_k80, scaled_selector, scaled_v100,
     Table,
 };
-use apsp_core::ooc_johnson::ooc_johnson;
-use apsp_core::{apsp, ApspOptions, StorageBackend, TileStore};
+use apsp_core::ooc_johnson::ooc_johnson_supervised;
+use apsp_core::{apsp, ApspOptions, StorageBackend, Supervisor, TileStore};
 use apsp_gpu_sim::GpuDevice;
 use apsp_graph::generators::{rmat, RmatParams, WeightRange};
 use apsp_graph::suite::TABLE4;
@@ -97,11 +97,12 @@ pub fn table5() {
         ] {
             let mut dev = GpuDevice::new(profile);
             let mut store = TileStore::new(n, &StorageBackend::Memory).unwrap();
-            match ooc_johnson(
+            match ooc_johnson_supervised(
                 &mut dev,
                 &g,
                 &mut store,
                 &crate::scaled_johnson_for(&base, scale),
+                &Supervisor::unarmed(),
             ) {
                 Ok(stats) => {
                     let nm_per_s = (n as f64) * (g.num_edges() as f64) / stats.sim_seconds;

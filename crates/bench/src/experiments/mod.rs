@@ -11,11 +11,11 @@ pub mod speedups;
 pub mod tables;
 
 use crate::AnalogRun;
-use apsp_core::ooc_boundary::{ooc_boundary, BoundaryRunStats};
-use apsp_core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall, FwRunStats};
-use apsp_core::ooc_johnson::{ooc_johnson, JohnsonRunStats};
+use apsp_core::ooc_boundary::{ooc_boundary_supervised, BoundaryRunStats};
+use apsp_core::ooc_fw::{ooc_floyd_warshall_guarded, FwRunStats};
+use apsp_core::ooc_johnson::{ooc_johnson_supervised, JohnsonRunStats};
 use apsp_core::options::{BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspError, StorageBackend, TileStore};
+use apsp_core::{ApspError, StorageBackend, Supervisor, TileStore};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice, SimReport};
 use apsp_graph::CsrGraph;
 
@@ -28,7 +28,7 @@ pub fn run_boundary(
 ) -> Result<(f64, BoundaryRunStats, SimReport), ApspError> {
     let mut dev = GpuDevice::new(profile.clone());
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory)?;
-    let stats = ooc_boundary(&mut dev, g, &mut store, opts)?;
+    let stats = ooc_boundary_supervised(&mut dev, g, &mut store, opts, &Supervisor::unarmed())?;
     Ok((stats.sim_seconds, stats, dev.report()))
 }
 
@@ -40,7 +40,7 @@ pub fn run_johnson(
 ) -> Result<(f64, JohnsonRunStats, SimReport), ApspError> {
     let mut dev = GpuDevice::new(profile.clone());
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory)?;
-    let stats = ooc_johnson(&mut dev, g, &mut store, opts)?;
+    let stats = ooc_johnson_supervised(&mut dev, g, &mut store, opts, &Supervisor::unarmed())?;
     Ok((stats.sim_seconds, stats, dev.report()))
 }
 
@@ -52,8 +52,7 @@ pub fn run_fw(
 ) -> Result<(f64, FwRunStats, SimReport), ApspError> {
     let mut dev = GpuDevice::new(profile.clone());
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory)?;
-    init_store_from_graph(g, &mut store)?;
-    let stats = ooc_floyd_warshall(&mut dev, &mut store, opts)?;
+    let stats = ooc_floyd_warshall_guarded(&mut dev, g, &mut store, opts, &Supervisor::unarmed())?;
     Ok((stats.sim_seconds, stats, dev.report()))
 }
 

@@ -24,11 +24,11 @@
 
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary_checkpointed;
-use apsp_core::ooc_fw::ooc_floyd_warshall_checkpointed;
-use apsp_core::ooc_johnson::ooc_johnson_checkpointed;
+use apsp_core::ooc_boundary::ooc_boundary_checkpointed_supervised;
+use apsp_core::ooc_fw::ooc_floyd_warshall_checkpointed_supervised;
+use apsp_core::ooc_johnson::ooc_johnson_checkpointed_supervised;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, TileStore};
+use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, Supervisor, TileStore};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -86,15 +86,16 @@ fn run_checkpointed(
     ckpt: &Checkpoint,
     cell: &CrashCellOptions,
 ) -> Result<(), apsp_core::ApspError> {
+    let sup = Supervisor::unarmed();
     match algorithm {
         Algorithm::FloydWarshall => {
-            ooc_floyd_warshall_checkpointed(dev, g, store, &cell.fw, ckpt)?;
+            ooc_floyd_warshall_checkpointed_supervised(dev, g, store, &cell.fw, ckpt, &sup)?;
         }
         Algorithm::Johnson => {
-            ooc_johnson_checkpointed(dev, g, store, &cell.johnson, ckpt)?;
+            ooc_johnson_checkpointed_supervised(dev, g, store, &cell.johnson, ckpt, &sup)?;
         }
         Algorithm::Boundary => {
-            ooc_boundary_checkpointed(dev, g, store, &cell.boundary, ckpt)?;
+            ooc_boundary_checkpointed_supervised(dev, g, store, &cell.boundary, ckpt, &sup)?;
         }
     }
     Ok(())

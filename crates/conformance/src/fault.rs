@@ -15,11 +15,13 @@
 
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
-use apsp_core::ooc_boundary::ooc_boundary;
-use apsp_core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall};
-use apsp_core::ooc_johnson::ooc_johnson;
+use apsp_core::ooc_boundary::ooc_boundary_supervised;
+use apsp_core::ooc_fw::ooc_floyd_warshall_guarded;
+use apsp_core::ooc_johnson::ooc_johnson_supervised;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspError, ApspErrorKind, DiskFault, DiskFaultPlan, StorageBackend, TileStore};
+use apsp_core::{
+    ApspError, ApspErrorKind, DiskFault, DiskFaultPlan, StorageBackend, Supervisor, TileStore,
+};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -216,16 +218,18 @@ fn run_algorithm(
     g: &apsp_graph::CsrGraph,
     store: &mut TileStore,
 ) -> Result<u32, ApspError> {
-    match algorithm {
+    let sup = Supervisor::unarmed();
+    Ok(match algorithm {
         Algorithm::FloydWarshall => {
-            init_store_from_graph(g, store)?;
-            Ok(ooc_floyd_warshall(dev, store, &FwOptions::default())?.retries)
+            ooc_floyd_warshall_guarded(dev, g, store, &FwOptions::default(), &sup)?.retries
         }
-        Algorithm::Johnson => Ok(ooc_johnson(dev, g, store, &JohnsonOptions::default())?.retries),
+        Algorithm::Johnson => {
+            ooc_johnson_supervised(dev, g, store, &JohnsonOptions::default(), &sup)?.retries
+        }
         Algorithm::Boundary => {
-            Ok(ooc_boundary(dev, g, store, &BoundaryOptions::default())?.retries)
+            ooc_boundary_supervised(dev, g, store, &BoundaryOptions::default(), &sup)?.retries
         }
-    }
+    })
 }
 
 /// Run `algorithm` on `case` with `plan` armed, classify the outcome, and

@@ -5,8 +5,8 @@
 //! * **Bit-identity** — [`run_multi_cell`]: the sharded executor on any
 //!   fleet shape (device counts × V100/K80 mixes × Memory/Disk/sharded
 //!   Disk × exec backends) must reproduce the single-device
-//!   `ooc_boundary` matrix bit-for-bit (which is itself checked against
-//!   the CPU reference).
+//!   `ooc_boundary_supervised` matrix bit-for-bit (which is itself
+//!   checked against the CPU reference).
 //! * **Makespan monotonicity** — [`makespan_curve`]: on a homogeneous
 //!   fleet, adding devices must never make the simulated makespan
 //!   slower.
@@ -17,10 +17,12 @@
 
 use crate::corpus::{splitmix64, Case};
 use crate::runner::RunnerConfig;
-use apsp_core::multi_gpu::{ooc_boundary_multi, ooc_boundary_multi_checkpointed};
-use apsp_core::ooc_boundary::ooc_boundary;
+use apsp_core::multi_gpu::{
+    ooc_boundary_multi_checkpointed_supervised, ooc_boundary_multi_supervised,
+};
+use apsp_core::ooc_boundary::ooc_boundary_supervised;
 use apsp_core::options::BoundaryOptions;
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, TileStore};
+use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, Supervisor, TileStore};
 use apsp_cpu::{bgl_plus_apsp, DistMatrix};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -86,7 +88,7 @@ fn sized(profile: &DeviceProfile, bytes: u64) -> DeviceProfile {
     profile.with_memory_bytes(bytes)
 }
 
-/// The single-device oracle: `ooc_boundary` on a V100 with the same
+/// The single-device oracle: `ooc_boundary_supervised` on a V100 with the same
 /// device budget, checked against the CPU reference before use.
 pub fn single_device_oracle(
     case: &Case,
@@ -96,8 +98,14 @@ pub fn single_device_oracle(
     let mut dev = GpuDevice::new(sized(&DeviceProfile::v100(), cfg.device_bytes));
     let mut store = TileStore::new(case.graph.num_vertices(), &StorageBackend::Memory)
         .map_err(|e| format!("oracle store: {e}"))?;
-    ooc_boundary(&mut dev, &case.graph, &mut store, opts)
-        .map_err(|e| format!("single-device oracle failed on {}: {e}", case.name))?;
+    ooc_boundary_supervised(
+        &mut dev,
+        &case.graph,
+        &mut store,
+        opts,
+        &Supervisor::unarmed(),
+    )
+    .map_err(|e| format!("single-device oracle failed on {}: {e}", case.name))?;
     let got = store
         .to_dist_matrix()
         .map_err(|e| format!("oracle store unreadable: {e}"))?;
@@ -128,12 +136,14 @@ pub fn run_multi_cell(
         .collect();
     let mut store = TileStore::new(case.graph.num_vertices(), &store_kind.backend(cfg))
         .map_err(|e| format!("store ({store_kind}): {e}"))?;
-    let stats = ooc_boundary_multi(&mut devs, &case.graph, &mut store, opts).map_err(|e| {
-        format!(
-            "multi run [{label}/{store_kind}/{exec:?}] failed on {}: {e}",
-            case.name
-        )
-    })?;
+    let sup = Supervisor::unarmed();
+    let stats = ooc_boundary_multi_supervised(&mut devs, &case.graph, &mut store, opts, &sup)
+        .map_err(|e| {
+            format!(
+                "multi run [{label}/{store_kind}/{exec:?}] failed on {}: {e}",
+                case.name
+            )
+        })?;
     let got = store
         .to_dist_matrix()
         .map_err(|e| format!("multi store unreadable: {e}"))?;
@@ -223,12 +233,13 @@ pub fn run_multi_kill_resume(
     let new_store = || TileStore::new(n, &backend).map_err(|e| format!("store: {e}"));
     let ckpt = Checkpoint::new(&ckpt_dir, g).map_err(|e| format!("checkpoint dir: {e}"))?;
     ckpt.clear().map_err(|e| format!("stale checkpoint: {e}"))?;
+    let sup = Supervisor::unarmed();
 
     // Step 1: uninterrupted run — matrix A and the op budget.
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
     store.arm_crash(u64::MAX);
-    ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt)
+    ooc_boundary_multi_checkpointed_supervised(&mut devs, g, &mut store, &opts, &ckpt, &sup)
         .map_err(|e| format!("uninterrupted multi run failed: {e}"))?;
     let total_ops = store.crash_ops();
     store.disarm_crash();
@@ -256,15 +267,16 @@ pub fn run_multi_kill_resume(
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
     store.arm_crash(crash_after);
-    let interrupted_kind =
-        match ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt) {
-            Err(e) => e.kind(),
-            Ok(_) => {
-                return Err(format!(
-                    "armed crash after {crash_after}/{total_ops} ops never fired"
-                ))
-            }
-        };
+    let interrupted_kind = match ooc_boundary_multi_checkpointed_supervised(
+        &mut devs, g, &mut store, &opts, &ckpt, &sup,
+    ) {
+        Err(e) => e.kind(),
+        Ok(_) => {
+            return Err(format!(
+                "armed crash after {crash_after}/{total_ops} ops never fired"
+            ))
+        }
+    };
     if interrupted_kind != ApspErrorKind::Storage {
         return Err(format!(
             "kill surfaced as {interrupted_kind:?}, expected Storage"
@@ -276,7 +288,7 @@ pub fn run_multi_kill_resume(
     // Step 3: resume on a different fleet shape.
     let mut devs = new_fleet(resume_devices);
     let mut store = new_store()?;
-    ooc_boundary_multi_checkpointed(&mut devs, g, &mut store, &opts, &ckpt)
+    ooc_boundary_multi_checkpointed_supervised(&mut devs, g, &mut store, &opts, &ckpt, &sup)
         .map_err(|e| format!("resume on {resume_devices} devices failed: {e}"))?;
     let resumed = store
         .to_dist_matrix()

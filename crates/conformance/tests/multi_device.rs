@@ -1,8 +1,9 @@
 //! The heterogeneous-fleet conformance matrix for the sharded
 //! multi-device executor.
 //!
-//! Three properties, each against the single-device `ooc_boundary`
-//! oracle (itself verified against the CPU reference before use):
+//! Three properties, each against the single-device
+//! `ooc_boundary_supervised` oracle (itself verified against the CPU
+//! reference before use):
 //!
 //! * **bit-identity** — 1/2/4 devices × all-V100 and V100+K80 fleets ×
 //!   Memory/Disk/sharded-Disk storage × all three exec backends produce

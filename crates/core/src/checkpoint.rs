@@ -284,6 +284,33 @@ impl Checkpoint {
         Ok(())
     }
 
+    /// The resume step every checkpointed driver shares: load the
+    /// manifest, map its progress to the driver's cursor with `cursor`
+    /// (`None` means the manifest belongs to another algorithm, which is
+    /// [`ApspError::InvalidInput`] naming `algorithm`), and restore the
+    /// snapshot into `store`. `Ok(None)` means there is no checkpoint and
+    /// the run starts fresh.
+    pub fn resume<T>(
+        &self,
+        store: &mut TileStore,
+        algorithm: &str,
+        cursor: impl FnOnce(Progress) -> Option<T>,
+    ) -> Result<Option<T>, ApspError> {
+        let Some(m) = self.load()? else {
+            return Ok(None);
+        };
+        let Some(c) = cursor(m.progress) else {
+            return Err(ApspError::InvalidInput(format!(
+                "checkpoint in {} belongs to the `{}` algorithm, not {algorithm} — \
+                 delete it to start over",
+                self.dir.display(),
+                m.progress.algorithm_tag()
+            )));
+        };
+        self.restore_into(&m, store)?;
+        Ok(Some(c))
+    }
+
     /// Delete the checkpoint. The manifest goes first, so a crash
     /// mid-clear degrades to "no checkpoint" rather than a manifest
     /// pointing at a deleted snapshot.
@@ -550,6 +577,67 @@ mod tests {
             };
             let text = serialize_manifest(&m);
             assert_eq!(parse_manifest(text.as_bytes()).unwrap(), m);
+        }
+    }
+
+    #[test]
+    fn every_checkpointed_entry_rejects_another_algorithms_manifest() {
+        use crate::error::ApspErrorKind;
+        use crate::multi_gpu::ooc_boundary_multi_checkpointed_supervised as multi;
+        use crate::ooc_boundary::ooc_boundary_checkpointed_supervised as boundary;
+        use crate::ooc_fw::ooc_floyd_warshall_checkpointed_supervised as fw;
+        use crate::ooc_johnson::ooc_johnson_checkpointed_supervised as johnson;
+        use crate::supervisor::Supervisor;
+        use apsp_gpu_sim::{DeviceProfile, GpuDevice};
+        type Entry<'a> = &'a dyn Fn(&mut TileStore, &Checkpoint) -> Result<(), ApspError>;
+        let (g, sup) = (
+            gnp(40, 0.1, WeightRange::default(), 9),
+            Supervisor::unarmed(),
+        );
+        let v100 = || GpuDevice::new(DeviceProfile::v100());
+        let (fo, jo, bo) = (Default::default(), Default::default(), Default::default());
+        // Each checkpointed entry with the manifest tag it owns.
+        let entries: [(&str, Entry); 4] = [
+            ("fw", &|s, ck| {
+                fw(&mut v100(), &g, s, &fo, ck, &sup).map(drop)
+            }),
+            ("johnson", &|s, ck| {
+                johnson(&mut v100(), &g, s, &jo, ck, &sup).map(drop)
+            }),
+            ("boundary", &|s, ck| {
+                boundary(&mut v100(), &g, s, &bo, ck, &sup).map(drop)
+            }),
+            ("boundary", &|s, ck| {
+                multi(&mut [v100(), v100()], &g, s, &bo, ck, &sup).map(drop)
+            }),
+        ];
+        let foreign = [
+            Progress::FloydWarshall {
+                block: 16,
+                next_round: 1,
+            },
+            Progress::Johnson {
+                batch_size: 8,
+                next_row: 8,
+            },
+            Progress::Boundary {
+                components: 4,
+                partition_seed: 0,
+                next_component: 1,
+            },
+        ];
+        for (i, (own, run)) in entries.into_iter().enumerate() {
+            for progress in foreign.iter().filter(|p| p.algorithm_tag() != own) {
+                let tag = progress.algorithm_tag();
+                let cell = format!("entry {i} ({own}) given a {tag} manifest");
+                let ckpt = Checkpoint::new(tmp(&format!("foreign-{i}-{tag}")), &g).unwrap();
+                ckpt.commit(&seeded_store(40, 0xF), progress).unwrap();
+                let mut store = TileStore::new(40, &StorageBackend::Memory).unwrap();
+                let err = run(&mut store, &ckpt).unwrap_err();
+                assert_eq!(err.kind(), ApspErrorKind::InvalidInput, "{cell}: {err}");
+                assert!(err.to_string().contains(tag), "{cell}: {err}");
+                assert!(ckpt.load().unwrap().is_some(), "{cell} cleared it");
+            }
         }
     }
 

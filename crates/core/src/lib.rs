@@ -49,7 +49,6 @@ pub use calibration::{
 pub use checkpoint::{graph_fingerprint, Checkpoint, Manifest, Progress};
 pub use error::{ApspError, ApspErrorKind};
 pub use multi_gpu::{
-    ooc_boundary_multi, ooc_boundary_multi_checkpointed,
     ooc_boundary_multi_checkpointed_supervised, ooc_boundary_multi_supervised, parse_fleet,
     MultiGpuStats,
 };

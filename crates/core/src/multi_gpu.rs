@@ -25,13 +25,14 @@
 //! every panel-flush barrier; telemetry records one span per device per
 //! phase, tagged with the device index. The panel math itself is
 //! device-independent, so the output is bit-identical to the
-//! single-device [`crate::ooc_boundary::ooc_boundary`] run for any fleet
-//! shape.
+//! single-device [`crate::ooc_boundary::ooc_boundary_supervised`] run
+//! for any fleet shape.
 
 use crate::checkpoint::{Checkpoint, Progress};
 use crate::error::ApspError;
 use crate::ooc_boundary::{
-    default_num_components, working_set_fits_bytes, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
+    adjacency_block, component_index, default_num_components, extract_cols, upload_panel,
+    working_set_fits_bytes, BOUNDARY_KERNEL_EFFICIENCY_DIVISOR,
 };
 use crate::options::BoundaryOptions;
 use crate::selector::placement::FleetPlan;
@@ -40,7 +41,7 @@ use crate::tile_store::TileStore;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice, Pinning};
 use apsp_graph::{CsrGraph, Dist, VertexId, INF};
 use apsp_kernels::fw_block::fw_device_exec;
-use apsp_kernels::minplus::minplus_product_exec;
+use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::DeviceMatrix;
 use apsp_partition::{kway_partition, PartitionConfig, PartitionLayout};
 
@@ -71,24 +72,15 @@ pub struct MultiGpuStats {
     pub sdc_round_recoveries: u32,
 }
 
-/// Run the boundary algorithm across a fleet of simulated devices.
+/// Run the boundary algorithm across a fleet of simulated devices under
+/// a [`Supervisor`]: the deadline, progress watchdog, and cancellation
+/// token are checked at every phase barrier and panel-flush barrier, and
+/// retries follow the supervisor's policy.
 ///
 /// Returns [`ApspError::InvalidInput`] for an empty fleet or a store
 /// whose dimension does not match the graph, and
 /// [`ApspError::DeviceTooSmall`] when no feasible partition fits the
 /// smallest device — never panics on bad input.
-pub fn ooc_boundary_multi(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-) -> Result<MultiGpuStats, ApspError> {
-    multi_driver(devs, g, store, opts, None, None, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary_multi`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every phase barrier
-/// and panel-flush barrier, and retries follow the supervisor's policy.
 pub fn ooc_boundary_multi_supervised(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
@@ -96,28 +88,16 @@ pub fn ooc_boundary_multi_supervised(
     opts: &BoundaryOptions,
     sup: &Supervisor,
 ) -> Result<MultiGpuStats, ApspError> {
-    multi_driver(devs, g, store, opts, None, None, sup)
+    run(devs, g, store, opts, None, sup)
 }
 
-/// [`ooc_boundary_multi`] with crash-safe durability. The manifest shape
-/// is shared with the single-device boundary driver, so a run killed on
-/// one fleet resumes on another (or on a single device) bit-exactly:
-/// the committed cursor counts flushed components in partition order,
-/// which is device-count-independent.
-pub fn ooc_boundary_multi_checkpointed(
-    devs: &mut [GpuDevice],
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
-) -> Result<MultiGpuStats, ApspError> {
-    ooc_boundary_multi_checkpointed_supervised(devs, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary_multi_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed panel flush in `ckpt`, so a later call resumes instead of
-/// starting over.
+/// [`ooc_boundary_multi_supervised`] with crash-safe durability. The
+/// manifest shape is shared with the single-device boundary driver, so a
+/// run killed on one fleet resumes on another (or on a single device)
+/// bit-exactly: the committed cursor counts flushed components in
+/// partition order, which is device-count-independent. A run interrupted
+/// by a deadline, stall, or cancellation leaves its last committed panel
+/// flush in `ckpt`, so a later call resumes instead of starting over.
 pub fn ooc_boundary_multi_checkpointed_supervised(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
@@ -126,37 +106,7 @@ pub fn ooc_boundary_multi_checkpointed_supervised(
     ckpt: &Checkpoint,
     sup: &Supervisor,
 ) -> Result<MultiGpuStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Boundary {
-                components,
-                partition_seed,
-                next_component,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not the boundary \
-                     algorithm — delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if partition_seed != opts.partition_seed {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint committed panels under partition seed {partition_seed}, but \
-                     seed {} is configured — the committed rows would describe the wrong \
-                     vertex sets; resume with the same seed, or delete the checkpoint",
-                    opts.partition_seed
-                )));
-            }
-            ckpt.restore_into(&m, store)?;
-            Some((components, next_component))
-        }
-        None => None,
-    };
-    let stats = multi_driver(devs, g, store, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
-    Ok(stats)
+    run(devs, g, store, opts, Some(ckpt), sup)
 }
 
 /// Parse a fleet spec like `"v100,k80"` into device profiles — the
@@ -184,14 +134,14 @@ pub fn parse_fleet(spec: &str) -> Result<Vec<DeviceProfile>, String> {
     Ok(fleet)
 }
 
-/// The retry-then-halve driver shared by every entry point, mirroring
-/// the single-device `boundary_driver` contract.
-fn multi_driver(
+/// The one driver behind both entry points: validate the fleet and the
+/// store, resume from `ckpt` through the single-device driver's resume
+/// step, run the retry/SDC loop, clear `ckpt` on success.
+fn run(
     devs: &mut [GpuDevice],
     g: &CsrGraph,
     store: &mut TileStore,
     opts: &BoundaryOptions,
-    mut resume: Option<(usize, usize)>,
     ckpt: Option<&Checkpoint>,
     sup: &Supervisor,
 ) -> Result<MultiGpuStats, ApspError> {
@@ -207,6 +157,26 @@ fn multi_driver(
             store.n()
         )));
     }
+    let resume = crate::ooc_boundary::resume(ckpt, store, opts)?;
+    let stats = multi_driver(devs, g, store, opts, resume, ckpt, sup)?;
+    if let Some(ck) = ckpt {
+        ck.clear()?;
+    }
+    Ok(stats)
+}
+
+/// The retry-then-halve loop, mirroring the single-device
+/// `boundary_driver` contract.
+fn multi_driver(
+    devs: &mut [GpuDevice],
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &BoundaryOptions,
+    mut resume: Option<(usize, usize)>,
+    ckpt: Option<&Checkpoint>,
+    sup: &Supervisor,
+) -> Result<MultiGpuStats, ApspError> {
+    let n = g.num_vertices();
     if n == 0 {
         return Ok(MultiGpuStats {
             num_devices: devs.len(),
@@ -472,7 +442,7 @@ fn multi_inner(
                 continue;
             }
             let s = dev.default_stream();
-            let copy = upload(dev, nb_total, nb_total, &bound_host, s)?;
+            let copy = upload_panel(dev, s, nb_total, nb_total, &bound_host)?;
             drop(copy);
         }
     }
@@ -503,7 +473,7 @@ fn multi_inner(
         let sz_i = irange.len();
         let nb_i = layout.boundary_count(i);
         let c2b_host = extract_cols(&dist2[i], sz_i, 0..nb_i);
-        let c2b = upload(dev, sz_i, nb_i, &c2b_host, s)?;
+        let c2b = upload_panel(dev, s, sz_i, nb_i, &c2b_host)?;
         let mut panel = vec![INF; sz_i * n];
         for j in 0..k {
             let jrange = layout.component_range(j);
@@ -514,12 +484,12 @@ fn multi_inner(
                 bofs[i]..bofs[i] + nb_i,
                 bofs[j]..bofs[j] + nb_j,
             );
-            let bound_ij = upload(dev, nb_i, nb_j, &bound_ij, s)?;
-            let b2c = upload(dev, nb_j, sz_j, &dist2[j][..nb_j * sz_j], s)?;
+            let bound_ij = upload_panel(dev, s, nb_i, nb_j, &bound_ij)?;
+            let b2c = upload_panel(dev, s, nb_j, sz_j, &dist2[j][..nb_j * sz_j])?;
             let mut tmp1 = DeviceMatrix::alloc_inf(dev, sz_i, nb_j)?;
-            minplus_product_exec(dev, s, &mut tmp1, &c2b, &bound_ij, opts.exec);
+            minplus_kernel_exec(dev, s, &mut tmp1, &c2b, &bound_ij, opts.exec);
             let mut block = DeviceMatrix::alloc_inf(dev, sz_i, sz_j)?;
-            minplus_product_exec(dev, s, &mut block, &tmp1, &b2c, opts.exec);
+            minplus_kernel_exec(dev, s, &mut block, &tmp1, &b2c, opts.exec);
             for r in 0..sz_i {
                 for c in 0..sz_j {
                     let mut v = block.get(r, c);
@@ -603,44 +573,6 @@ fn max_elapsed(devs: &[GpuDevice]) -> f64 {
         .fold(0.0, f64::max)
 }
 
-fn component_index(layout: &PartitionLayout) -> Vec<usize> {
-    let mut comp = vec![0usize; layout.num_vertices()];
-    for i in 0..layout.num_components() {
-        for v in layout.component_range(i) {
-            comp[v] = i;
-        }
-    }
-    comp
-}
-
-fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
-    let sz = range.len();
-    let mut block = vec![INF; sz * sz];
-    for r in 0..sz {
-        block[r * sz + r] = 0;
-    }
-    for (r, v) in range.clone().enumerate() {
-        for (u, wgt) in pg.edges_from(v as VertexId) {
-            let u = u as usize;
-            if range.contains(&u) && u != v {
-                let cell = &mut block[r * sz + (u - range.start)];
-                if wgt < *cell {
-                    *cell = wgt;
-                }
-            }
-        }
-    }
-    block
-}
-
-fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Vec<Dist> {
-    let mut out = Vec::with_capacity(side * cols.len());
-    for r in 0..side {
-        out.extend_from_slice(&block[r * side + cols.start..r * side + cols.end]);
-    }
-    out
-}
-
 fn extract_block(
     m: &[Dist],
     stride: usize,
@@ -652,20 +584,6 @@ fn extract_block(
         out.extend_from_slice(&m[r * stride + cols.start..r * stride + cols.end]);
     }
     out
-}
-
-fn upload(
-    dev: &mut GpuDevice,
-    rows: usize,
-    cols: usize,
-    host: &[Dist],
-    stream: apsp_gpu_sim::StreamId,
-) -> Result<DeviceMatrix, ApspError> {
-    let mut m = DeviceMatrix::alloc_inf(dev, rows, cols)?;
-    if !host.is_empty() {
-        m.upload_rows(dev, stream, 0, host, Pinning::Pinned);
-    }
-    Ok(m)
 }
 
 #[cfg(test)]
@@ -683,11 +601,21 @@ mod tests {
             .collect()
     }
 
+    /// Both entry points' driver, under an unarmed supervisor.
+    fn unarmed(
+        devs: &mut [GpuDevice],
+        g: &CsrGraph,
+        store: &mut TileStore,
+        opts: &BoundaryOptions,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<MultiGpuStats, ApspError> {
+        super::run(devs, g, store, opts, ckpt, &Supervisor::unarmed())
+    }
+
     fn run(g: &CsrGraph, count: usize) -> (apsp_cpu::DistMatrix, MultiGpuStats) {
         let mut devs = devices(count);
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
-        let stats =
-            ooc_boundary_multi(&mut devs, g, &mut store, &BoundaryOptions::default()).unwrap();
+        let stats = unarmed(&mut devs, g, &mut store, &BoundaryOptions::default(), None).unwrap();
         (store.to_dist_matrix().unwrap(), stats)
     }
 
@@ -738,8 +666,7 @@ mod tests {
         let g = apsp_graph::GraphBuilder::new(0).build();
         let mut devs = devices(2);
         let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
-        let stats =
-            ooc_boundary_multi(&mut devs, &g, &mut store, &BoundaryOptions::default()).unwrap();
+        let stats = unarmed(&mut devs, &g, &mut store, &BoundaryOptions::default(), None).unwrap();
         assert_eq!(stats.sim_seconds, 0.0);
     }
 
@@ -748,15 +675,14 @@ mod tests {
         let g = grid_2d(6, 6, GridOptions::default(), WeightRange::default(), 1);
         // Empty fleet.
         let mut store = TileStore::new(36, &StorageBackend::Memory).unwrap();
-        let err =
-            ooc_boundary_multi(&mut [], &g, &mut store, &BoundaryOptions::default()).unwrap_err();
+        let err = unarmed(&mut [], &g, &mut store, &BoundaryOptions::default(), None).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
         assert!(err.to_string().contains("empty"));
         // Dimension mismatch.
         let mut devs = devices(2);
         let mut wrong = TileStore::new(35, &StorageBackend::Memory).unwrap();
         let err =
-            ooc_boundary_multi(&mut devs, &g, &mut wrong, &BoundaryOptions::default()).unwrap_err();
+            unarmed(&mut devs, &g, &mut wrong, &BoundaryOptions::default(), None).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::InvalidInput);
         assert!(err.to_string().contains("36"));
         // Infeasible partition: a fleet whose smallest device cannot hold
@@ -766,7 +692,7 @@ mod tests {
             GpuDevice::new(DeviceProfile::v100().with_memory_bytes(1_000)),
         ];
         let err =
-            ooc_boundary_multi(&mut tiny, &g, &mut store, &BoundaryOptions::default()).unwrap_err();
+            unarmed(&mut tiny, &g, &mut store, &BoundaryOptions::default(), None).unwrap_err();
         assert_eq!(err.kind(), crate::error::ApspErrorKind::DeviceTooSmall);
         assert!(err.to_string().contains("partition"));
     }
@@ -788,7 +714,7 @@ mod tests {
                 exec,
                 ..Default::default()
             };
-            ooc_boundary_multi(&mut devs, &g, &mut store, &opts).unwrap();
+            unarmed(&mut devs, &g, &mut store, &opts, None).unwrap();
             assert_eq!(
                 store.to_dist_matrix().unwrap(),
                 reference,
@@ -810,7 +736,7 @@ mod tests {
             num_components: Some(8),
             ..Default::default()
         };
-        let stats = ooc_boundary_multi(&mut devs, &g, &mut store, &opts).unwrap();
+        let stats = unarmed(&mut devs, &g, &mut store, &opts, None).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), reference);
         // Cost-model placement, not round-robin: the 4×-faster V100 must
         // own more components than the K80.
@@ -879,8 +805,7 @@ mod tests {
         let manifest = ckpt.load().unwrap().expect("a commit must have landed");
         ckpt.restore_into(&manifest, &mut store2).unwrap();
         drop(manifest);
-        let stats =
-            ooc_boundary_multi_checkpointed(&mut devs, &g, &mut store2, &opts, &ckpt).unwrap();
+        let stats = unarmed(&mut devs, &g, &mut store2, &opts, Some(&ckpt)).unwrap();
         assert_eq!(store2.to_dist_matrix().unwrap(), reference);
         assert!(stats.num_components >= 1);
         // Completion cleared the checkpoint.
@@ -914,7 +839,7 @@ mod tests {
             num_components: Some(7),
             ..Default::default()
         };
-        let stats = ooc_boundary_multi(&mut devs, &g, &mut store, &opts).unwrap();
+        let stats = unarmed(&mut devs, &g, &mut store, &opts, None).unwrap();
         assert!(stats.stolen_panels as usize <= stats.num_components);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }

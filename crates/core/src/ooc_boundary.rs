@@ -25,7 +25,7 @@ use crate::tile_store::TileStore;
 use apsp_gpu_sim::{DeviceBuffer, GpuDevice, KernelCost, LaunchConfig, Pinning, StreamId};
 use apsp_graph::{dist_add, CsrGraph, Dist, VertexId, INF};
 use apsp_kernels::fw_block::fw_device_exec;
-use apsp_kernels::minplus::minplus_product_exec;
+use apsp_kernels::minplus::minplus_kernel_exec;
 use apsp_kernels::DeviceMatrix;
 use apsp_partition::{kway_partition, PartitionConfig, PartitionLayout};
 
@@ -72,7 +72,10 @@ pub fn default_num_components(n: usize) -> usize {
 /// transfer fractions of 70–84%.
 pub const BOUNDARY_KERNEL_EFFICIENCY_DIVISOR: f64 = 8.0;
 
-/// Run the out-of-core boundary algorithm into `store`.
+/// Run the out-of-core boundary algorithm into `store` under a
+/// [`Supervisor`]: the deadline, progress watchdog, and cancellation
+/// token are checked at every component flush barrier, and retries
+/// follow the supervisor's policy.
 ///
 /// A mid-run device allocation failure degrades gracefully instead of
 /// aborting: the run restarts — once at the same component count (a
@@ -80,18 +83,6 @@ pub const BOUNDARY_KERNEL_EFFICIENCY_DIVISOR: f64 = 8.0;
 /// device shrank). Restarts are exact: the boundary algorithm never
 /// reads the store, so a retry simply recomputes and overwrites every
 /// row panel from the graph.
-pub fn ooc_boundary(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-) -> Result<BoundaryRunStats, ApspError> {
-    boundary_driver(dev, g, store, opts, None, None, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every component
-/// flush barrier, and retries follow the supervisor's policy.
 pub fn ooc_boundary_supervised(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -99,35 +90,24 @@ pub fn ooc_boundary_supervised(
     opts: &BoundaryOptions,
     sup: &Supervisor,
 ) -> Result<BoundaryRunStats, ApspError> {
-    boundary_driver(dev, g, store, opts, None, None, sup)
+    run(dev, g, store, opts, None, sup)
 }
 
-/// [`ooc_boundary`] with crash-safe durability: dist₄ progress commits
-/// to `ckpt` after every streamed panel group, and a checkpoint already
-/// present in `ckpt`'s directory (validated against `g` and the store
-/// checksums) is resumed — dist₂/dist₃ are recomputed (deterministic
-/// given the partition), then the streaming phase skips the committed
-/// components. The checkpoint is cleared on successful completion.
+/// [`ooc_boundary_supervised`] with crash-safe durability: dist₄
+/// progress commits to `ckpt` after every streamed panel group, and a
+/// checkpoint already present in `ckpt`'s directory (validated against
+/// `g` and the store checksums) is resumed — dist₂/dist₃ are recomputed
+/// (deterministic given the partition), then the streaming phase skips
+/// the committed components. The checkpoint is cleared on successful
+/// completion; a run interrupted by a deadline, stall, or cancellation
+/// leaves its last committed component flush in `ckpt`, so a later call
+/// resumes.
 ///
 /// The committed cursor only transfers to the identical partition: the
 /// manifest's seed must match `opts.partition_seed` (a mismatch is
 /// [`ApspError::InvalidInput`]), and if the committed component count no
 /// longer fits the device the run restarts from scratch instead — still
 /// exact, every panel is recomputed.
-pub fn ooc_boundary_checkpointed(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &BoundaryOptions,
-    ckpt: &Checkpoint,
-) -> Result<BoundaryRunStats, ApspError> {
-    ooc_boundary_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_boundary_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed component flush in `ckpt`, so a later call resumes instead
-/// of starting over.
 pub fn ooc_boundary_checkpointed_supervised(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -136,42 +116,63 @@ pub fn ooc_boundary_checkpointed_supervised(
     ckpt: &Checkpoint,
     sup: &Supervisor,
 ) -> Result<BoundaryRunStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Boundary {
-                components,
-                partition_seed,
-                next_component,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not the boundary \
-                     algorithm — delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if partition_seed != opts.partition_seed {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint committed panels under partition seed {partition_seed}, but \
-                     seed {} is configured — the committed rows would describe the wrong \
-                     vertex sets; resume with the same seed, or delete the checkpoint",
-                    opts.partition_seed
-                )));
-            }
-            ckpt.restore_into(&m, store)?;
-            Some((components, next_component))
-        }
-        None => None,
+    run(dev, g, store, opts, Some(ckpt), sup)
+}
+
+/// The resume step shared with the multi-device driver: restore a
+/// boundary manifest from `ckpt` into `store` and return its
+/// `(components, next_component)` cursor, rejecting a manifest committed
+/// under another partition seed than `opts.partition_seed`.
+pub(crate) fn resume(
+    ckpt: Option<&Checkpoint>,
+    store: &mut TileStore,
+    opts: &BoundaryOptions,
+) -> Result<Option<(usize, usize)>, ApspError> {
+    let Some(ck) = ckpt else {
+        return Ok(None);
     };
-    let stats = boundary_driver(dev, g, store, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
+    let cursor = ck.resume(store, "the boundary algorithm", |p| match p {
+        Progress::Boundary {
+            components,
+            partition_seed,
+            next_component,
+        } => Some((components, partition_seed, next_component)),
+        _ => None,
+    })?;
+    if let Some((_, seed, _)) = cursor {
+        if seed != opts.partition_seed {
+            return Err(ApspError::InvalidInput(format!(
+                "checkpoint committed panels under partition seed {seed}, but seed {} is \
+                 configured — the committed rows would describe the wrong vertex sets; \
+                 resume with the same seed, or delete the checkpoint",
+                opts.partition_seed
+            )));
+        }
+    }
+    Ok(cursor.map(|(k, _, next)| (k, next)))
+}
+
+/// The one driver behind both entry points: resume from `ckpt`, run the
+/// retry/SDC loop, clear `ckpt` on success.
+pub(crate) fn run(
+    dev: &mut GpuDevice,
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &BoundaryOptions,
+    ckpt: Option<&Checkpoint>,
+    sup: &Supervisor,
+) -> Result<BoundaryRunStats, ApspError> {
+    let resume = resume(ckpt, store, opts)?;
+    let stats = boundary_driver(dev, g, store, opts, resume, ckpt, sup)?;
+    if let Some(ck) = ckpt {
+        ck.clear()?;
+    }
     Ok(stats)
 }
 
-/// The retry-then-halve driver shared by the plain and checkpointed
-/// entry points. `resume` carries `(components, next_component)` from a
-/// restored manifest; restarts drop the cursor and recompute everything.
+/// The retry-then-halve loop. `resume` carries `(components,
+/// next_component)` from a restored manifest; restarts drop the cursor
+/// and recompute everything.
 fn boundary_driver(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -533,9 +534,9 @@ fn ooc_boundary_inner(
 
             // tmp₁ = C2B[i] ⊗ bound(i,j);  block = tmp₁ ⊗ B2C[j].
             let mut tmp1 = DeviceMatrix::alloc_inf(dev, sz_i, nb_j)?;
-            minplus_product_exec(dev, stream, &mut tmp1, &c2b, &bound_ij, opts.exec);
+            minplus_kernel_exec(dev, stream, &mut tmp1, &c2b, &bound_ij, opts.exec);
             let mut block = DeviceMatrix::alloc_inf(dev, sz_i, sz_j)?;
-            minplus_product_exec(dev, stream, &mut block, &tmp1, &b2c, opts.exec);
+            minplus_kernel_exec(dev, stream, &mut block, &tmp1, &b2c, opts.exec);
             if i == j {
                 // Same-component pairs also have the all-interior paths of
                 // dist₂; elementwise min (one fused kernel in the real
@@ -723,7 +724,7 @@ fn working_set_bytes(
 }
 
 /// Map each (permuted) vertex to its component index.
-fn component_index(layout: &PartitionLayout) -> Vec<usize> {
+pub(crate) fn component_index(layout: &PartitionLayout) -> Vec<usize> {
     let mut comp = vec![0usize; layout.num_vertices()];
     for i in 0..layout.num_components() {
         for v in layout.component_range(i) {
@@ -734,7 +735,7 @@ fn component_index(layout: &PartitionLayout) -> Vec<usize> {
 }
 
 /// Dense adjacency block of `range × range` from the permuted graph.
-fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
+pub(crate) fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
     let sz = range.len();
     let mut block = vec![INF; sz * sz];
     for r in 0..sz {
@@ -754,7 +755,7 @@ fn adjacency_block(pg: &CsrGraph, range: std::ops::Range<usize>) -> Vec<Dist> {
     block
 }
 
-fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Vec<Dist> {
+pub(crate) fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Vec<Dist> {
     let width = cols.len();
     let mut out = Vec::with_capacity(side * width);
     for r in 0..side {
@@ -764,7 +765,7 @@ fn extract_cols(block: &[Dist], side: usize, cols: std::ops::Range<usize>) -> Ve
 }
 
 /// Upload a host panel into a fresh device matrix, charging the H2D.
-fn upload_panel(
+pub(crate) fn upload_panel(
     dev: &mut GpuDevice,
     stream: StreamId,
     rows: usize,
@@ -894,13 +895,24 @@ mod tests {
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, grid_2d, random_geometric, GridOptions, WeightRange};
 
+    /// Both entry points' driver, under an unarmed supervisor.
+    fn unarmed(
+        dev: &mut GpuDevice,
+        g: &CsrGraph,
+        store: &mut TileStore,
+        opts: &BoundaryOptions,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<BoundaryRunStats, ApspError> {
+        run(dev, g, store, opts, ckpt, &Supervisor::unarmed())
+    }
+
     fn run_boundary(
         g: &CsrGraph,
         dev: &mut GpuDevice,
         opts: &BoundaryOptions,
     ) -> (apsp_cpu::DistMatrix, BoundaryRunStats) {
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
-        let stats = ooc_boundary(dev, g, &mut store, opts).unwrap();
+        let stats = unarmed(dev, g, &mut store, opts, None).unwrap();
         (store.to_dist_matrix().unwrap(), stats)
     }
 
@@ -976,7 +988,7 @@ mod tests {
                 ..Default::default()
             };
             let mut store = TileStore::new(300, &StorageBackend::Memory).unwrap();
-            ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+            unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
             let r = dev.report();
             (r.transfers_d2h, dev.elapsed().seconds())
         };
@@ -1014,7 +1026,7 @@ mod tests {
             num_components: Some(12),
             ..Default::default()
         };
-        match ooc_boundary(&mut dev, &g, &mut store, &opts) {
+        match unarmed(&mut dev, &g, &mut store, &opts, None) {
             Ok(stats) => {
                 assert_eq!(
                     store.to_dist_matrix().unwrap(),
@@ -1043,7 +1055,7 @@ mod tests {
         // Fail an allocation somewhere in dist₂/dist₃: the run restarts
         // and still converges.
         dev.inject_alloc_failure(3);
-        let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
         assert_eq!(stats.retries, 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
@@ -1060,7 +1072,7 @@ mod tests {
         // Kill attempt 1 and the same-k retry, forcing halved components.
         dev.inject_alloc_failure(3);
         dev.inject_alloc_failure(6);
-        let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.num_components, 4);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -1085,7 +1097,7 @@ mod tests {
             ..Default::default()
         };
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats = ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &opts, Some(&ckpt)).unwrap();
         assert_eq!(stats.checkpoint_commits as usize, stats.num_components - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -1106,7 +1118,7 @@ mod tests {
         // after a couple of components committed.
         store.arm_crash(300);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let err = ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap_err();
+        let err = unarmed(&mut dev, &g, &mut store, &opts, Some(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
@@ -1119,7 +1131,7 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap();
+        unarmed(&mut dev, &g, &mut store, &opts, Some(&ckpt)).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
         assert!(ckpt.load().unwrap().is_none());
     }
@@ -1127,28 +1139,40 @@ mod tests {
     #[test]
     fn resume_with_conflicting_partition_seed_is_rejected() {
         let g = grid_2d(10, 10, GridOptions::default(), WeightRange::default(), 37);
-        let dir = ckpt_dir("seed_conflict");
         let opts = BoundaryOptions {
             num_components: Some(6),
             batch_transfers: false,
             ..Default::default()
         };
-        let mut dev = GpuDevice::new(DeviceProfile::v100());
-        let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-        store.arm_crash(300);
-        let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_boundary_checkpointed(&mut dev, &g, &mut store, &opts, &ckpt).unwrap_err();
-        drop(store);
-        let mut dev = GpuDevice::new(DeviceProfile::v100());
-        let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-        let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let other_seed = BoundaryOptions {
             partition_seed: opts.partition_seed + 1,
             ..opts
         };
-        let err =
-            ooc_boundary_checkpointed(&mut dev, &g, &mut store, &other_seed, &ckpt).unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
+        // The single-device and multi-device drivers share the manifest
+        // shape and the seed check: both must refuse the mismatch.
+        use crate::multi_gpu::ooc_boundary_multi_checkpointed_supervised as ooc_multi;
+        let v100 = || GpuDevice::new(DeviceProfile::v100());
+        for fleet in [false, true] {
+            let dir = ckpt_dir(&format!("seed_conflict_{fleet}"));
+            let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
+            store.arm_crash(300);
+            let ckpt = Checkpoint::new(&dir, &g).unwrap();
+            unarmed(&mut v100(), &g, &mut store, &opts, Some(&ckpt)).unwrap_err();
+            let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
+            let ckpt = Checkpoint::new(&dir, &g).unwrap();
+            let err = if fleet {
+                let (mut devs, sup) = ([v100(), v100()], Supervisor::unarmed());
+                ooc_multi(&mut devs, &g, &mut store, &other_seed, &ckpt, &sup).map(drop)
+            } else {
+                unarmed(&mut v100(), &g, &mut store, &other_seed, Some(&ckpt)).map(drop)
+            }
+            .unwrap_err();
+            assert_eq!(
+                err.kind(),
+                crate::ApspErrorKind::InvalidInput,
+                "fleet={fleet}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -1170,7 +1194,7 @@ mod tests {
                     sdc_guard: SdcGuardMode::Checksum,
                     ..Default::default()
                 };
-                let stats = ooc_boundary(&mut dev, &g, &mut store, &opts).unwrap();
+                let stats = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
                 assert_eq!(
                     stats.sdc_round_recoveries, 1,
                     "flip after {after_ops} ops (batch={batch}) went unnoticed"

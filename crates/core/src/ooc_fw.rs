@@ -71,8 +71,11 @@ pub fn max_block_side(dev: &GpuDevice, buffers: usize) -> usize {
     (per_buffer as f64).sqrt().floor() as usize
 }
 
-/// Run out-of-core blocked Floyd-Warshall over `store` (which must hold
-/// the adjacency initialization; see [`init_store_from_graph`]).
+/// Run out-of-core blocked Floyd-Warshall of `g` into `store` under a
+/// [`Supervisor`]: the deadline, progress watchdog, and cancellation
+/// token are checked at every pivot-round barrier, and retries follow the
+/// supervisor's policy. Seeds the store from `g` itself — the caller must
+/// *not* pre-initialize it.
 ///
 /// With automatic blocking (`opts.block_size == None`) a mid-run device
 /// allocation failure degrades gracefully instead of aborting: the run
@@ -84,36 +87,13 @@ pub fn max_block_side(dev: &GpuDevice, buffers: usize) -> usize {
 /// any such state converges to the same metric closure (min-plus
 /// relaxations are monotone and order-insensitive). A caller-forced
 /// block size propagates the failure instead.
-pub fn ooc_floyd_warshall(
-    dev: &mut GpuDevice,
-    store: &mut TileStore,
-    opts: &FwOptions,
-) -> Result<FwRunStats, ApspError> {
-    fw_driver(dev, store, opts, None, None, &Supervisor::unarmed(), None)
-}
-
-/// [`ooc_floyd_warshall`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every pivot-round
-/// barrier, and retries follow the supervisor's policy.
-pub fn ooc_floyd_warshall_supervised(
-    dev: &mut GpuDevice,
-    store: &mut TileStore,
-    opts: &FwOptions,
-    sup: &Supervisor,
-) -> Result<FwRunStats, ApspError> {
-    fw_driver(dev, store, opts, None, None, sup, None)
-}
-
-/// [`ooc_floyd_warshall_supervised`] with the graph in hand, which is
-/// what arms the silent-corruption recovery ladder: a guard detection
-/// localized to one panel resets just that panel's rows to their
-/// adjacency initialization and replays (exact, by min-plus
-/// monotonicity — see [`ooc_floyd_warshall`]'s restart argument), and
-/// an unlocalized detection reseeds the whole store from `g`. Seeds the
-/// store from `g` itself — the caller must *not* pre-initialize it.
-/// Without the graph (the plain entry points), a detection propagates
-/// as a typed [`ApspError::SilentCorruption`] once the checkpoint-less
-/// ladder is exhausted.
+///
+/// Having the graph in hand arms the silent-corruption recovery ladder:
+/// a guard detection localized to one panel resets just that panel's
+/// rows to their adjacency initialization and replays (exact, by the same
+/// monotonicity), and an unlocalized detection reseeds the whole store
+/// from `g`. Once the ladder's budgets are spent, the detection
+/// propagates as a typed [`ApspError::SilentCorruption`].
 pub fn ooc_floyd_warshall_guarded(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -121,37 +101,23 @@ pub fn ooc_floyd_warshall_guarded(
     opts: &FwOptions,
     sup: &Supervisor,
 ) -> Result<FwRunStats, ApspError> {
-    assert_eq!(store.n(), g.num_vertices());
-    init_store_from_graph(g, store)?;
-    fw_driver(dev, store, opts, None, None, sup, Some(g))
+    run(dev, g, store, opts, None, sup)
 }
 
-/// [`ooc_floyd_warshall`] with crash-safe durability: progress commits to
-/// `ckpt` after every pivot round, and a checkpoint already present in
-/// `ckpt`'s directory (validated against `g` and the store checksums) is
-/// resumed instead of starting over. The checkpoint is cleared on
-/// successful completion. Seeds the store from `g` itself on a fresh
-/// start — the caller must *not* pre-initialize it.
+/// [`ooc_floyd_warshall_guarded`] with crash-safe durability: progress
+/// commits to `ckpt` after every pivot round, and a checkpoint already
+/// present in `ckpt`'s directory (validated against `g` and the store
+/// checksums) is resumed instead of starting over. The checkpoint is
+/// cleared on successful completion; a run interrupted by a deadline,
+/// stall, or cancellation leaves its last committed round in `ckpt`, so
+/// a later call resumes. The ladder's round rung restores the last
+/// snapshot before it falls back to reseeding from `g`.
 ///
 /// Rounds are only resumable at the blocking they committed under: a
 /// forced `opts.block_size` that disagrees with the manifest is an
 /// [`ApspError::InvalidInput`]; in auto mode an infeasible manifest
 /// block re-fits and replays all rounds on the restored snapshot (exact,
 /// by the same monotonicity argument as the OOM restarts).
-pub fn ooc_floyd_warshall_checkpointed(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &FwOptions,
-    ckpt: &Checkpoint,
-) -> Result<FwRunStats, ApspError> {
-    ooc_floyd_warshall_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_floyd_warshall_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed round in `ckpt`, so a later call resumes instead of
-/// starting over.
 pub fn ooc_floyd_warshall_checkpointed_supervised(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -160,59 +126,67 @@ pub fn ooc_floyd_warshall_checkpointed_supervised(
     ckpt: &Checkpoint,
     sup: &Supervisor,
 ) -> Result<FwRunStats, ApspError> {
-    let n = g.num_vertices();
-    assert_eq!(store.n(), n);
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::FloydWarshall { block, next_round } = m.progress else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not Floyd-Warshall — \
-                     delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            if let Some(forced) = opts.block_size {
-                let forced = forced.min(n).max(1);
-                if forced != block {
-                    return Err(ApspError::InvalidInput(format!(
-                        "checkpoint committed rounds at block {block} but block {forced} was \
-                         forced — resume with the same block, or delete the checkpoint"
-                    )));
-                }
-            }
-            ckpt.restore_into(&m, store)?;
-            Some((block, next_round))
-        }
-        None => {
-            init_store_from_graph(g, store)?;
-            None
-        }
-    };
-    let stats = fw_driver(dev, store, opts, resume, Some(ckpt), sup, Some(g))?;
-    ckpt.clear()?;
-    Ok(stats)
+    run(dev, g, store, opts, Some(ckpt), sup)
 }
 
 /// Seed for the guard's deterministic triangle sampling — a constant,
 /// so reruns of the same case check the same pairs.
 use crate::sdc::SDC_SAMPLE_SEED;
 
-/// The retry-then-halve driver shared by the plain and checkpointed
-/// entry points. `resume` carries `(block, start_round)` from a restored
-/// manifest; restarts (OOM or re-fit) always replay from round 0.
-/// `graph` arms the panel-reset and reseed rungs of the
-/// silent-corruption recovery ladder (checkpoint restore works without
-/// it).
-#[allow(clippy::too_many_arguments)]
+/// The resume cursor `(block, next_round)` of a Floyd-Warshall manifest.
+fn fw_cursor(p: Progress) -> Option<(usize, usize)> {
+    match p {
+        Progress::FloydWarshall { block, next_round } => Some((block, next_round)),
+        _ => None,
+    }
+}
+
+/// The one driver behind both entry points: resume from `ckpt` (or seed
+/// the store from `g`), run the retry/SDC loop, clear `ckpt` on success.
+pub(crate) fn run(
+    dev: &mut GpuDevice,
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &FwOptions,
+    ckpt: Option<&Checkpoint>,
+    sup: &Supervisor,
+) -> Result<FwRunStats, ApspError> {
+    let n = g.num_vertices();
+    assert_eq!(store.n(), n);
+    let resume = match ckpt {
+        Some(ck) => ck.resume(store, "Floyd-Warshall", fw_cursor)?,
+        None => None,
+    };
+    match (resume, opts.block_size) {
+        (Some((block, _)), Some(forced)) if forced.min(n).max(1) != block => {
+            return Err(ApspError::InvalidInput(format!(
+                "checkpoint committed rounds at block {block} but block {} was \
+                 forced — resume with the same block, or delete the checkpoint",
+                forced.min(n).max(1)
+            )));
+        }
+        (None, _) => init_store_from_graph(g, store)?,
+        _ => {}
+    }
+    let stats = fw_driver(dev, g, store, opts, resume, ckpt, sup)?;
+    if let Some(ck) = ckpt {
+        ck.clear()?;
+    }
+    Ok(stats)
+}
+
+/// The retry-then-halve loop. `resume` carries `(block, start_round)`
+/// from a restored manifest; restarts (OOM or re-fit) always replay from
+/// round 0. `g` feeds the panel-reset and reseed rungs of the
+/// silent-corruption recovery ladder.
 fn fw_driver(
     dev: &mut GpuDevice,
+    g: &CsrGraph,
     store: &mut TileStore,
     opts: &FwOptions,
     resume: Option<(usize, usize)>,
     ckpt: Option<&Checkpoint>,
     sup: &Supervisor,
-    graph: Option<&CsrGraph>,
 ) -> Result<FwRunStats, ApspError> {
     let n = store.n();
     if n == 0 {
@@ -313,50 +287,38 @@ fn fw_driver(
                 let tel = sup.telemetry().clone();
                 tel.count_sdc(1, 0, 0);
                 if panel != usize::MAX && panel_budget > 0 {
-                    if let Some(g) = graph {
-                        panel_budget -= 1;
-                        panel_recoveries += 1;
-                        let ph = tel.phase_start(dev);
-                        reset_panel_from_graph(g, store, panel)?;
-                        tel.phase_end(dev, ph, "sdc.recover_panel");
-                        tel.count_sdc(0, 1, 0);
-                        guard.reset_baseline();
-                        start_round = 0;
-                        continue;
-                    }
+                    panel_budget -= 1;
+                    panel_recoveries += 1;
+                    let ph = tel.phase_start(dev);
+                    reset_panel_from_graph(g, store, panel)?;
+                    tel.phase_end(dev, ph, "sdc.recover_panel");
+                    tel.count_sdc(0, 1, 0);
+                    guard.reset_baseline();
+                    start_round = 0;
+                    continue;
                 }
                 if round_budget > 0 {
                     let ph = tel.phase_start(dev);
-                    let mut recovered = false;
-                    if let Some(ck) = ckpt {
-                        if let Some(m) = ck.load()? {
-                            if let Progress::FloydWarshall {
-                                block: cb,
-                                next_round,
-                            } = m.progress
-                            {
-                                ck.restore_into(&m, store)?;
-                                block = cb;
-                                start_round = next_round;
-                                recovered = true;
-                            }
+                    let restored = match ckpt {
+                        Some(ck) => ck.resume(store, "Floyd-Warshall", fw_cursor)?,
+                        None => None,
+                    };
+                    match restored {
+                        Some((cb, next_round)) => {
+                            block = cb;
+                            start_round = next_round;
                         }
-                    }
-                    if !recovered {
-                        if let Some(g) = graph {
+                        None => {
                             init_store_from_graph(g, store)?;
                             start_round = 0;
-                            recovered = true;
                         }
                     }
-                    if recovered {
-                        round_budget -= 1;
-                        round_recoveries += 1;
-                        tel.phase_end(dev, ph, "sdc.recover_round");
-                        tel.count_sdc(0, 0, 1);
-                        guard.reset_baseline();
-                        continue;
-                    }
+                    round_budget -= 1;
+                    round_recoveries += 1;
+                    tel.phase_end(dev, ph, "sdc.recover_round");
+                    tel.count_sdc(0, 0, 1);
+                    guard.reset_baseline();
+                    continue;
                 }
                 return Err(ApspError::SilentCorruption {
                     panel,
@@ -589,10 +551,20 @@ mod tests {
         GpuDevice::new(DeviceProfile::v100().with_memory_bytes(64 << 10))
     }
 
+    /// Both entry points' driver, under an unarmed supervisor.
+    fn unarmed(
+        dev: &mut GpuDevice,
+        g: &CsrGraph,
+        store: &mut TileStore,
+        opts: &FwOptions,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<FwRunStats, ApspError> {
+        run(dev, g, store, opts, ckpt, &Supervisor::unarmed())
+    }
+
     fn run_fw(g: &CsrGraph, dev: &mut GpuDevice, opts: &FwOptions) -> apsp_cpu::DistMatrix {
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
-        init_store_from_graph(g, &mut store).unwrap();
-        ooc_floyd_warshall(dev, &mut store, opts).unwrap();
+        unarmed(dev, g, &mut store, opts, None).unwrap();
         store.to_dist_matrix().unwrap()
     }
 
@@ -653,8 +625,7 @@ mod tests {
         let g = gnp(100, 0.05, WeightRange::default(), 9);
         let mut dev = small_device();
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None).unwrap();
         assert!(
             stats.n_d >= 2,
             "device sized to force blocking, n_d = {}",
@@ -671,8 +642,7 @@ mod tests {
         let _hog: apsp_gpu_sim::DeviceBuffer<u8> = dev.alloc((1 << 16) - 8).unwrap();
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         let g = gnp(64, 0.1, WeightRange::default(), 2);
-        init_store_from_graph(&g, &mut store).unwrap();
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default());
+        let err = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None);
         assert!(err.is_err());
     }
 
@@ -681,9 +651,8 @@ mod tests {
         let g = gnp(60, 0.1, WeightRange::default(), 5);
         let dir = std::env::temp_dir().join("apsp_ooc_fw_test");
         let mut store = TileStore::new(60, &StorageBackend::Disk(dir)).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         let mut dev = small_device();
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
@@ -692,11 +661,10 @@ mod tests {
         let g = gnp(90, 0.07, WeightRange::default(), 21);
         let mut dev = small_device();
         let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         // Fail the 3rd device allocation (mid stage 2 of round 0): the run
         // restarts on the partially relaxed store and still converges.
         dev.inject_alloc_failure(3);
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None).unwrap();
         assert_eq!(stats.retries, 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
@@ -708,13 +676,12 @@ mod tests {
         let buffers = 5; // FwOptions::default() has overlap on
         let initial_block = max_block_side(&dev, buffers).min(90);
         let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         // Two overlapping faults: the first kills attempt 1 at its 3rd
         // allocation, the second (countdown 10, so 7 left after attempt 1)
         // kills the same-block retry too, forcing a halved block.
         dev.inject_alloc_failure(3);
         dev.inject_alloc_failure(10);
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None).unwrap();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.block, initial_block / 2);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -725,13 +692,12 @@ mod tests {
         let g = gnp(64, 0.1, WeightRange::default(), 23);
         let mut dev = small_device();
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
         dev.inject_alloc_failure(2);
         let opts = FwOptions {
             block_size: Some(32),
             ..Default::default()
         };
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &opts).unwrap_err();
+        let err = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::OutOfDeviceMemory);
     }
 
@@ -739,7 +705,8 @@ mod tests {
     fn empty_graph() {
         let mut dev = small_device();
         let mut store = TileStore::new(0, &StorageBackend::Memory).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let g = apsp_graph::GraphBuilder::new(0).build();
+        let stats = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), None).unwrap();
         assert_eq!(stats.n_d, 0);
     }
 
@@ -829,25 +796,6 @@ mod tests {
     }
 
     #[test]
-    fn plain_entry_without_graph_propagates_sdc_typed() {
-        // Without the graph or a checkpoint the driver has nothing to
-        // recover from: the detection must surface typed, not panic or
-        // silently pass.
-        let g = gnp(64, 0.1, WeightRange::default(), 35);
-        let mut dev = small_device();
-        let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(200, 5);
-        let opts = FwOptions {
-            sdc_guard: SdcGuardMode::Checksum,
-            ..Default::default()
-        };
-        let err = ooc_floyd_warshall(&mut dev, &mut store, &opts).unwrap_err();
-        assert_eq!(err.kind(), crate::ApspErrorKind::SilentCorruption, "{err}");
-    }
-
-    #[test]
     fn checkpointed_flip_recovers_via_snapshot_restore() {
         let g = gnp(97, 0.07, WeightRange::default(), 36);
         let reference = bgl_plus_apsp(&g);
@@ -881,9 +829,7 @@ mod tests {
         let mut dev = small_device();
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-                .unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &FwOptions::default(), Some(&ckpt)).unwrap();
         assert_eq!(stats.checkpoint_commits as usize, stats.n_d - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -899,16 +845,14 @@ mod tests {
         store.arm_crash(400);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let err =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-                .unwrap_err();
+            unarmed(&mut dev, &g, &mut store, &FwOptions::default(), Some(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         // Resumed attempt on fresh everything.
         let mut dev = small_device();
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &FwOptions::default(), &ckpt)
-            .unwrap();
+        unarmed(&mut dev, &g, &mut store, &FwOptions::default(), Some(&ckpt)).unwrap();
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
 
@@ -926,7 +870,7 @@ mod tests {
         // first round's commit has landed, but well before the run ends.
         store.arm_crash(1000);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts16, &ckpt).unwrap_err();
+        unarmed(&mut dev, &g, &mut store, &opts16, Some(&ckpt)).unwrap_err();
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
         assert!(
@@ -940,11 +884,10 @@ mod tests {
             block_size: Some(32),
             ..Default::default()
         };
-        let err =
-            ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts32, &ckpt).unwrap_err();
+        let err = unarmed(&mut dev, &g, &mut store, &opts32, Some(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::InvalidInput, "{err}");
         // Resuming with the committed block still works.
-        let err_free = ooc_floyd_warshall_checkpointed(&mut dev, &g, &mut store, &opts16, &ckpt);
+        let err_free = unarmed(&mut dev, &g, &mut store, &opts16, Some(&ckpt));
         assert!(err_free.is_ok(), "{err_free:?}");
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }

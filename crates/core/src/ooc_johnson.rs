@@ -76,28 +76,9 @@ pub fn batch_size(
     Ok(((available / per_instance) as usize).clamp(1, g.num_vertices().max(1)))
 }
 
-/// Run batched Johnson's APSP into `store`.
-pub fn ooc_johnson(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &JohnsonOptions,
-) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_impl(
-        dev,
-        g,
-        store,
-        None,
-        opts,
-        None,
-        None,
-        &Supervisor::unarmed(),
-    )
-}
-
-/// [`ooc_johnson`] under a [`Supervisor`]: the deadline, progress
-/// watchdog, and cancellation token are checked at every batch barrier,
-/// and retries follow the supervisor's policy.
+/// Run batched Johnson's APSP into `store` under a [`Supervisor`]: the
+/// deadline, progress watchdog, and cancellation token are checked at
+/// every batch barrier, and retries follow the supervisor's policy.
 pub fn ooc_johnson_supervised(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -105,32 +86,20 @@ pub fn ooc_johnson_supervised(
     opts: &JohnsonOptions,
     sup: &Supervisor,
 ) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_impl(dev, g, store, None, opts, None, None, sup)
+    run(dev, g, store, opts, None, sup)
 }
 
-/// [`ooc_johnson`] with crash-safe durability: progress commits to
-/// `ckpt` after every batch, and a checkpoint already present in
-/// `ckpt`'s directory (validated against `g` and the store checksums) is
-/// resumed — only the source rows at or above the committed cursor are
-/// recomputed. The checkpoint is cleared on successful completion.
+/// [`ooc_johnson_supervised`] with crash-safe durability: progress
+/// commits to `ckpt` after every batch, and a checkpoint already present
+/// in `ckpt`'s directory (validated against `g` and the store checksums)
+/// is resumed — only the source rows at or above the committed cursor
+/// are recomputed. The checkpoint is cleared on successful completion; a
+/// run interrupted by a deadline, stall, or cancellation leaves its last
+/// committed batch in `ckpt`, so a later call resumes.
 ///
 /// Unlike Floyd-Warshall, resume is geometry-free: every batch writes
 /// complete rows recomputed from the graph, so the remaining rows may be
 /// re-batched at whatever size fits the device today.
-pub fn ooc_johnson_checkpointed(
-    dev: &mut GpuDevice,
-    g: &CsrGraph,
-    store: &mut TileStore,
-    opts: &JohnsonOptions,
-    ckpt: &Checkpoint,
-) -> Result<JohnsonRunStats, ApspError> {
-    ooc_johnson_checkpointed_supervised(dev, g, store, opts, ckpt, &Supervisor::unarmed())
-}
-
-/// [`ooc_johnson_checkpointed`] under a [`Supervisor`]. A run
-/// interrupted by a deadline, stall, or cancellation leaves its last
-/// committed batch in `ckpt`, so a later call resumes instead of
-/// starting over.
 pub fn ooc_johnson_checkpointed_supervised(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -139,35 +108,42 @@ pub fn ooc_johnson_checkpointed_supervised(
     ckpt: &Checkpoint,
     sup: &Supervisor,
 ) -> Result<JohnsonRunStats, ApspError> {
-    let resume = match ckpt.load()? {
-        Some(m) => {
-            let Progress::Johnson {
+    run(dev, g, store, opts, Some(ckpt), sup)
+}
+
+/// The one driver behind both entry points: resume from `ckpt`, run the
+/// retry/SDC loop, clear `ckpt` on success.
+pub(crate) fn run(
+    dev: &mut GpuDevice,
+    g: &CsrGraph,
+    store: &mut TileStore,
+    opts: &JohnsonOptions,
+    ckpt: Option<&Checkpoint>,
+    sup: &Supervisor,
+) -> Result<JohnsonRunStats, ApspError> {
+    let resume = match ckpt {
+        Some(ck) => ck.resume(store, "Johnson's", |p| match p {
+            Progress::Johnson {
                 batch_size,
                 next_row,
-            } = m.progress
-            else {
-                return Err(ApspError::InvalidInput(format!(
-                    "checkpoint in {} belongs to the `{}` algorithm, not Johnson's — \
-                     delete it to start over",
-                    ckpt.dir().display(),
-                    m.progress.algorithm_tag()
-                )));
-            };
-            ckpt.restore_into(&m, store)?;
-            Some((batch_size, next_row))
-        }
+            } => Some((batch_size, next_row)),
+            _ => None,
+        })?,
         None => None,
     };
-    let stats = ooc_johnson_impl(dev, g, store, None, opts, resume, Some(ckpt), sup)?;
-    ckpt.clear()?;
+    let stats = ooc_johnson_impl(dev, g, store, None, opts, resume, ckpt, sup)?;
+    if let Some(ck) = ckpt {
+        ck.clear()?;
+    }
     Ok(stats)
 }
 
-/// [`ooc_johnson`] that additionally streams the full n×n *predecessor*
-/// matrix into `parent_store`: `parent_store[i][j]` is the predecessor of
-/// `j` on a shortest path from `i` (`VertexId::MAX` when `j` is `i` or
-/// unreachable). Doubles the output traffic — exactly as it would on the
-/// real device — and composes with [`crate::paths`] for reconstruction.
+/// Batched Johnson's without a supervisor that additionally streams the
+/// full n×n *predecessor* matrix into `parent_store`:
+/// `parent_store[i][j]` is the predecessor of `j` on a shortest path from
+/// `i` (`VertexId::MAX` when `j` is `i` or unreachable). Doubles the
+/// output traffic — exactly as it would on the real device — and
+/// composes with [`crate::paths`] for reconstruction.
 pub fn ooc_johnson_with_parents(
     dev: &mut GpuDevice,
     g: &CsrGraph,
@@ -619,13 +595,24 @@ mod tests {
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, rmat, RmatParams, WeightRange};
 
+    /// Both entry points' driver, under an unarmed supervisor.
+    fn unarmed(
+        dev: &mut GpuDevice,
+        g: &CsrGraph,
+        store: &mut TileStore,
+        opts: &JohnsonOptions,
+        ckpt: Option<&Checkpoint>,
+    ) -> Result<JohnsonRunStats, ApspError> {
+        run(dev, g, store, opts, ckpt, &Supervisor::unarmed())
+    }
+
     fn run_johnson(
         g: &CsrGraph,
         dev: &mut GpuDevice,
         opts: &JohnsonOptions,
     ) -> apsp_cpu::DistMatrix {
         let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(dev, g, &mut store, opts).unwrap();
+        let stats = unarmed(dev, g, &mut store, opts, None).unwrap();
         assert!(stats.num_batches >= 1);
         store.to_dist_matrix().unwrap()
     }
@@ -692,7 +679,7 @@ mod tests {
                 ..Default::default()
             };
             let mut store = TileStore::new(200, &StorageBackend::Memory).unwrap();
-            ooc_johnson(&mut dev, &g, &mut store, &opts)
+            unarmed(&mut dev, &g, &mut store, &opts, None)
                 .unwrap()
                 .sim_seconds
         };
@@ -704,7 +691,7 @@ mod tests {
         let g = gnp(120, 0.05, WeightRange::default(), 12);
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
         let mut store = TileStore::new(120, &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &JohnsonOptions::default(), None).unwrap();
         assert_eq!(stats.num_batches, 120usize.div_ceil(stats.batch_size));
         assert!(stats.work.total_relaxations() > 0);
         assert!(stats.sim_seconds > 0.0);
@@ -762,7 +749,7 @@ mod tests {
         // Allocation 1 is the graph hold, allocation 2 the first result
         // panel: fail the panel, expect one restart and an exact matrix.
         dev.inject_alloc_failure(2);
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &JohnsonOptions::default(), None).unwrap();
         assert_eq!(stats.retries, 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
     }
@@ -779,7 +766,7 @@ mod tests {
         // forcing a halved batch.
         dev.inject_alloc_failure(2);
         dev.inject_alloc_failure(4);
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.batch_size, initial_bat / 2);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -799,9 +786,14 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(ckpt_dir("clean"), &g).unwrap();
-        let stats =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap();
+        let stats = unarmed(
+            &mut dev,
+            &g,
+            &mut store,
+            &JohnsonOptions::default(),
+            Some(&ckpt),
+        )
+        .unwrap();
         assert!(stats.num_batches >= 2, "want a multi-batch run");
         assert_eq!(stats.checkpoint_commits as usize, stats.num_batches - 1);
         assert!(ckpt.load().unwrap().is_none(), "cleared on completion");
@@ -819,9 +811,14 @@ mod tests {
         // the second commit, after the first one is durable.
         store.arm_crash(200);
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let err =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap_err();
+        let err = unarmed(
+            &mut dev,
+            &g,
+            &mut store,
+            &JohnsonOptions::default(),
+            Some(&ckpt),
+        )
+        .unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
         drop(store);
         let probe = Checkpoint::new(&dir, &g).unwrap();
@@ -834,9 +831,14 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(256 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
-        let stats =
-            ooc_johnson_checkpointed(&mut dev, &g, &mut store, &JohnsonOptions::default(), &ckpt)
-                .unwrap();
+        let stats = unarmed(
+            &mut dev,
+            &g,
+            &mut store,
+            &JohnsonOptions::default(),
+            Some(&ckpt),
+        )
+        .unwrap();
         // The resumed run only recomputed the uncommitted tail.
         assert!(stats.num_batches < 150usize.div_ceil(stats.batch_size) + 1);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));
@@ -859,7 +861,7 @@ mod tests {
                 sdc_guard: SdcGuardMode::Checksum,
                 ..Default::default()
             };
-            let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
+            let stats = unarmed(&mut dev, &g, &mut store, &opts, None).unwrap();
             assert!(
                 stats.sdc_panel_recoveries + stats.sdc_round_recoveries >= 1,
                 "flip after {after_ops} ops went unnoticed"
@@ -1000,7 +1002,7 @@ mod tests {
         let g = gnp(100, 0.05, WeightRange::default(), 14);
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        let stats = unarmed(&mut dev, &g, &mut store, &JohnsonOptions::default(), None).unwrap();
         assert_eq!(stats.num_batches, 1);
         assert_eq!(stats.batch_size, 100);
         assert_eq!(store.to_dist_matrix().unwrap(), bgl_plus_apsp(&g));

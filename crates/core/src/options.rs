@@ -39,8 +39,11 @@ pub enum SdcGuardMode {
     /// The tile store keeps a per-row FNV checksum registry, verified on
     /// every read and re-verified in full at each barrier and at run
     /// end. Catches at-rest corruption of host-resident tiles
-    /// deterministically, at a cost bounded by the barrier gate in CI
-    /// (≤ 5% on the bench smoke run).
+    /// deterministically. Every read hashes the rows it returns, and
+    /// every barrier rehashes the whole n×n matrix, so the added host
+    /// work is O(n²) per barrier — O(n² · barriers) per run (rounds for
+    /// Floyd-Warshall, batches for Johnson's, flush groups for the
+    /// boundary algorithm) on top of the per-read hashing.
     Checksum,
     /// [`SdcGuardMode::Checksum`] plus semantic (ABFT) invariants at
     /// every barrier: per-row distance sums must not increase across a

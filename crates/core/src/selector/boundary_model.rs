@@ -13,9 +13,10 @@
 //! per-flush latencies.
 
 use crate::calibration::{CoeffKey, EstimateParts};
-use crate::ooc_boundary::{default_num_components, ooc_boundary};
+use crate::ooc_boundary::{default_num_components, ooc_boundary_supervised};
 use crate::options::BoundaryOptions;
 use crate::selector::CostModels;
+use crate::supervisor::Supervisor;
 use crate::tile_store::{StorageBackend, TileStore};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{banded, grid_2d, GridOptions, WeightRange};
@@ -231,7 +232,8 @@ fn run_compute_seconds(profile: &DeviceProfile, g: &CsrGraph) -> f64 {
     let mut store = TileStore::new(g.num_vertices(), &StorageBackend::Memory)
         .expect("memory store cannot fail");
     let opts = BoundaryOptions::default();
-    ooc_boundary(&mut dev, g, &mut store, &opts).expect("training run must fit");
+    ooc_boundary_supervised(&mut dev, g, &mut store, &opts, &Supervisor::unarmed())
+        .expect("training run must fit");
     dev.report().total_kernel_seconds()
 }
 
@@ -279,7 +281,10 @@ mod tests {
         let predicted = models.boundary.estimate_seconds(&models, &g);
         let mut dev = GpuDevice::new(profile);
         let mut store = TileStore::new(500, &StorageBackend::Memory).unwrap();
-        let stats = ooc_boundary(&mut dev, &g, &mut store, &BoundaryOptions::default()).unwrap();
+        let opts = BoundaryOptions::default();
+        let stats =
+            ooc_boundary_supervised(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
+                .unwrap();
         let ratio = predicted / stats.sim_seconds;
         assert!(
             (0.2..5.0).contains(&ratio),

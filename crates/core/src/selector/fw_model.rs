@@ -6,9 +6,10 @@
 //! follow the paper's `n_d · W · (3b² + n²) / TH` expression.
 
 use crate::calibration::{CoeffKey, EstimateParts};
-use crate::ooc_fw::{init_store_from_graph, max_block_side, ooc_floyd_warshall};
+use crate::ooc_fw::{max_block_side, ooc_floyd_warshall_guarded};
 use crate::options::FwOptions;
 use crate::selector::CostModels;
+use crate::supervisor::Supervisor;
 use crate::tile_store::{StorageBackend, TileStore};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::generators::{gnp, WeightRange};
@@ -42,8 +43,8 @@ impl FwModel {
         let g = gnp(TRAIN_N, 0.05, WeightRange::default(), 0xF0);
         let mut store =
             TileStore::new(TRAIN_N, &StorageBackend::Memory).expect("memory store cannot fail");
-        init_store_from_graph(&g, &mut store).expect("memory store cannot fail");
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default())
+        let opts = FwOptions::default();
+        ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
             .expect("training run must fit by construction");
         let report = dev.report();
         FwModel {
@@ -116,8 +117,10 @@ mod tests {
         let g = gnp(n, 0.05, WeightRange::default(), 0xAB);
         let mut dev = GpuDevice::new(profile);
         let mut store = TileStore::new(n, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let opts = FwOptions::default();
+        let stats =
+            ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
+                .unwrap();
         let predicted = models.fw.estimate_seconds(&models, &g);
         let actual = stats.sim_seconds;
         let ratio = predicted / actual;

@@ -140,7 +140,8 @@ impl JohnsonModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ooc_johnson::ooc_johnson;
+    use crate::ooc_johnson::ooc_johnson_supervised;
+    use crate::supervisor::Supervisor;
     use crate::tile_store::{StorageBackend, TileStore};
     use apsp_graph::generators::{gnp, WeightRange};
 
@@ -178,7 +179,8 @@ mod tests {
         let m = JohnsonModel::probe(&profile, &g, &cfg, &opts).unwrap();
         let mut dev = GpuDevice::new(profile);
         let mut store = TileStore::new(250, &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &opts).unwrap();
+        let stats = ooc_johnson_supervised(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
+            .unwrap();
         let predicted = m.estimate_seconds(&models, &g);
         let ratio = predicted / stats.sim_seconds;
         assert!(

@@ -83,16 +83,10 @@ pub fn minplus_tile(
     }
 }
 
-/// Blocked Floyd-Warshall: `num_b × num_b` tiles of side `b`, three stages
-/// per round (diagonal, pivot row+column, remainder), with the remainder
-/// stage parallelized across tiles — the structure SuperFW and the GPU
-/// versions share. Runs under the default execution backend; see
-/// [`blocked_floyd_warshall_exec`] to choose one explicitly.
-pub fn blocked_floyd_warshall(m: &mut DistMatrix, block: usize) {
-    blocked_floyd_warshall_exec(m, block, ExecBackend::default());
-}
-
-/// [`blocked_floyd_warshall`] under an explicit execution backend.
+/// Blocked Floyd-Warshall under `exec`: `num_b × num_b` tiles of side
+/// `b`, three stages per round (diagonal, pivot row+column, remainder),
+/// with the remainder stage parallelized across tiles — the structure
+/// SuperFW and the GPU versions share.
 ///
 /// The Parallel backend bands stage 2 and stage 3 across threads with
 /// branchless inner loops; both are bit-identical to the scalar stages
@@ -435,7 +429,7 @@ mod tests {
         floyd_warshall(&mut reference);
         for block in [1, 7, 16, 53, 64] {
             let mut m = DistMatrix::from_graph(&g);
-            blocked_floyd_warshall(&mut m, block);
+            blocked_floyd_warshall_exec(&mut m, block, ExecBackend::default());
             assert_eq!(m, reference, "block = {block}");
         }
     }
@@ -444,7 +438,7 @@ mod tests {
     fn blocked_on_grid() {
         let g = grid_2d(7, 8, GridOptions::default(), WeightRange::default(), 2);
         let mut m = DistMatrix::from_graph(&g);
-        blocked_floyd_warshall(&mut m, 13);
+        blocked_floyd_warshall_exec(&mut m, 13, ExecBackend::default());
         assert_eq!(m, bgl_plus_apsp(&g));
     }
 
@@ -455,7 +449,7 @@ mod tests {
         b.add_edge(2, 3, 3);
         let g = b.build();
         let mut m = DistMatrix::from_graph(&g);
-        blocked_floyd_warshall(&mut m, 2);
+        blocked_floyd_warshall_exec(&mut m, 2, ExecBackend::default());
         assert_eq!(m.get(0, 1), 2);
         assert_eq!(m.get(0, 2), INF);
         assert_eq!(m.get(3, 0), INF);
@@ -493,7 +487,7 @@ mod tests {
     #[test]
     fn empty_matrix() {
         let mut m = DistMatrix::new(0);
-        blocked_floyd_warshall(&mut m, 8);
+        blocked_floyd_warshall_exec(&mut m, 8, ExecBackend::default());
         assert_eq!(m.n(), 0);
     }
 
@@ -504,7 +498,7 @@ mod tests {
         b.add_edge(1, 2, 0);
         let g = b.build();
         let mut m = DistMatrix::from_graph(&g);
-        blocked_floyd_warshall(&mut m, 2);
+        blocked_floyd_warshall_exec(&mut m, 2, ExecBackend::default());
         for i in 0..3 {
             for j in 0..3 {
                 assert_eq!(m.get(i, j), 0);

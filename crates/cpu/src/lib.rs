@@ -7,7 +7,7 @@
 //!   (binary-heap Dijkstra, sources parallelized with rayon),
 //! * **SuperFW** — an optimized multicore blocked Floyd-Warshall
 //!   (numbers reported from the literature); reproduced as
-//!   [`blocked_fw::blocked_floyd_warshall`],
+//!   [`blocked_fw::blocked_floyd_warshall_exec`],
 //! * **Galois** — parallel delta-stepping; reproduced as
 //!   [`delta_stepping::delta_stepping_sssp`].
 //!
@@ -34,7 +34,7 @@ pub mod simd;
 
 pub use backend::{MinPlusBackend, ParallelBackend, ScalarBackend, SimdBackend};
 pub use bgl_plus::bgl_plus_apsp;
-pub use blocked_fw::{blocked_floyd_warshall, blocked_floyd_warshall_exec};
+pub use blocked_fw::blocked_floyd_warshall_exec;
 pub use dense::DistMatrix;
 pub use dijkstra::dijkstra_sssp;
 pub use parallel::ExecBackend;

@@ -22,17 +22,12 @@ use crate::matrix::DeviceMatrix;
 /// memory on real hardware).
 pub const FW_TILE: usize = 64;
 
-/// Run APSP over the whole square matrix `m` in device memory, charging
-/// the kernel schedule of the blocked GPU formulation: per round, one
-/// diagonal-tile kernel, two pivot-panel kernels, one remainder kernel.
-/// Runs under the default execution backend; see [`fw_device_exec`].
-pub fn fw_device(dev: &mut GpuDevice, stream: StreamId, m: &mut DeviceMatrix) {
-    fw_device_exec(dev, stream, m, ExecBackend::default());
-}
-
-/// [`fw_device`] under an explicit execution backend. The backend only
-/// changes host wall-clock (band-parallel branchless tiles vs. the
-/// scalar reference); results and charged device time are identical.
+/// Run APSP over the whole square matrix `m` in device memory under
+/// `exec`, charging the kernel schedule of the blocked GPU formulation:
+/// per round, one diagonal-tile kernel, two pivot-panel kernels, one
+/// remainder kernel. The backend only changes host wall-clock
+/// (band-parallel branchless tiles vs. the scalar reference); results and
+/// charged device time are identical.
 pub fn fw_device_exec(
     dev: &mut GpuDevice,
     stream: StreamId,
@@ -112,7 +107,7 @@ mod tests {
         let mut d = dev();
         let s = d.default_stream();
         let mut m = upload_graph(&d, &g);
-        fw_device(&mut d, s, &mut m);
+        fw_device_exec(&mut d, s, &mut m, ExecBackend::default());
         let reference = bgl_plus_apsp(&g);
         assert_eq!(m.as_slice(), reference.as_slice());
     }
@@ -124,7 +119,7 @@ mod tests {
         let mut d = dev();
         let s = d.default_stream();
         let mut m = upload_graph(&d, &g);
-        fw_device(&mut d, s, &mut m);
+        fw_device_exec(&mut d, s, &mut m, ExecBackend::default());
         assert_eq!(m.as_slice(), bgl_plus_apsp(&g).as_slice());
     }
 
@@ -156,7 +151,7 @@ mod tests {
             let mut d = dev();
             let s = d.default_stream();
             let mut m = DeviceMatrix::alloc(&d, n, n).unwrap();
-            fw_device(&mut d, s, &mut m);
+            fw_device_exec(&mut d, s, &mut m, ExecBackend::default());
             d.synchronize().seconds()
         };
         let t512 = time_for(512);
@@ -176,7 +171,7 @@ mod tests {
         let mut d = dev();
         let s = d.default_stream();
         let mut m = DeviceMatrix::alloc(&d, 0, 0).unwrap();
-        fw_device(&mut d, s, &mut m);
+        fw_device_exec(&mut d, s, &mut m, ExecBackend::default());
         assert_eq!(d.elapsed().seconds(), 0.0);
     }
 
@@ -186,7 +181,7 @@ mod tests {
         let s = d.default_stream();
         let mut m = DeviceMatrix::alloc(&d, 4, 4).unwrap();
         m.set(0, 1, 3); // only edge
-        fw_device(&mut d, s, &mut m);
+        fw_device_exec(&mut d, s, &mut m, ExecBackend::default());
         assert_eq!(m.get(0, 1), 3);
         assert_eq!(m.get(1, 0), INF);
         assert_eq!(m.get(2, 3), INF);

@@ -18,9 +18,9 @@
 //! partition — a finer partition has more boundary work, which would
 //! confound the curve. Results are bit-identical at every fleet shape.
 
-use apsp::core::multi_gpu::{ooc_boundary_multi, parse_fleet};
+use apsp::core::multi_gpu::{ooc_boundary_multi_supervised, parse_fleet};
 use apsp::core::options::BoundaryOptions;
-use apsp::core::{StorageBackend, TileStore};
+use apsp::core::{StorageBackend, Supervisor, TileStore};
 use apsp::cpu::dijkstra_sssp;
 use apsp::gpu_sim::{DeviceProfile, GpuDevice};
 use apsp::graph::generators::{ensure_connected, grid_2d, GridOptions, WeightRange};
@@ -41,7 +41,9 @@ fn run_fleet(
         num_components: Some(8),
         ..Default::default()
     };
-    let stats = ooc_boundary_multi(&mut devs, graph, &mut store, &opts).expect("multi-device run");
+    let stats =
+        ooc_boundary_multi_supervised(&mut devs, graph, &mut store, &opts, &Supervisor::unarmed())
+            .expect("multi-device run");
     (stats, store.read_row(0).unwrap())
 }
 

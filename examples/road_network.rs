@@ -12,9 +12,9 @@
 //! with each optimization combination, and prints the simulated-time
 //! breakdown.
 
-use apsp::core::ooc_boundary::{default_num_components, ooc_boundary};
+use apsp::core::ooc_boundary::{default_num_components, ooc_boundary_supervised};
 use apsp::core::options::BoundaryOptions;
-use apsp::core::{StorageBackend, TileStore};
+use apsp::core::{StorageBackend, Supervisor, TileStore};
 use apsp::cpu::dijkstra_sssp;
 use apsp::gpu_sim::{DeviceProfile, GpuDevice};
 use apsp::graph::generators::{ensure_connected, grid_2d, GridOptions, WeightRange};
@@ -76,7 +76,9 @@ fn main() {
             overlap_transfers: overlap,
             ..Default::default()
         };
-        let stats = ooc_boundary(&mut dev, &graph, &mut store, &opts).expect("boundary run");
+        let sup = Supervisor::unarmed();
+        let stats = ooc_boundary_supervised(&mut dev, &graph, &mut store, &opts, &sup)
+            .expect("boundary run");
         let report = dev.report();
         println!(
             "{label:34} {:8.3} ms  (transfer fraction {:4.1}%, D2H calls {})",

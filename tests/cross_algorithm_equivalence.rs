@@ -5,7 +5,7 @@
 use apsp::core::options::{Algorithm, ApspOptions};
 use apsp::core::{apsp, StorageBackend};
 use apsp::cpu::delta_stepping::{default_delta, galois_apsp};
-use apsp::cpu::{bgl_plus_apsp, blocked_floyd_warshall, DistMatrix};
+use apsp::cpu::{bgl_plus_apsp, blocked_floyd_warshall_exec, DistMatrix, ExecBackend};
 use apsp::gpu_sim::{DeviceProfile, GpuDevice};
 use apsp::graph::generators::{
     banded, gnp, grid_2d, random_geometric, rmat, GridOptions, RmatParams, WeightRange,
@@ -67,7 +67,7 @@ fn all_six_implementations_agree() {
 
         // CPU baselines.
         let mut fw = DistMatrix::from_graph(&g);
-        blocked_floyd_warshall(&mut fw, 32);
+        blocked_floyd_warshall_exec(&mut fw, 32, ExecBackend::default());
         assert_eq!(fw, reference, "blocked FW vs Dijkstra on {name}");
         let galois = galois_apsp(&g, default_delta(&g));
         assert_eq!(galois, reference, "delta-stepping vs Dijkstra on {name}");

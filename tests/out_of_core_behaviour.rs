@@ -1,9 +1,9 @@
 //! Out-of-core behaviour under memory pressure and disk spill.
 
-use apsp::core::ooc_fw::{init_store_from_graph, ooc_floyd_warshall};
-use apsp::core::ooc_johnson::ooc_johnson;
+use apsp::core::ooc_fw::ooc_floyd_warshall_guarded;
+use apsp::core::ooc_johnson::ooc_johnson_supervised;
 use apsp::core::options::{Algorithm, ApspOptions, FwOptions, JohnsonOptions};
-use apsp::core::{apsp, StorageBackend, TileStore};
+use apsp::core::{apsp, StorageBackend, Supervisor, TileStore};
 use apsp::cpu::bgl_plus_apsp;
 use apsp::gpu_sim::{DeviceProfile, GpuDevice};
 use apsp::graph::generators::{gnp, random_geometric, WeightRange};
@@ -17,8 +17,14 @@ fn shrinking_device_changes_blocking_not_results() {
     for mem_kib in [1024u64, 256, 96] {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem_kib << 10));
         let mut store = TileStore::new(120, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        let stats = ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default()).unwrap();
+        let stats = ooc_floyd_warshall_guarded(
+            &mut dev,
+            &g,
+            &mut store,
+            &FwOptions::default(),
+            &Supervisor::unarmed(),
+        )
+        .unwrap();
         assert_eq!(
             store.to_dist_matrix().unwrap(),
             reference,
@@ -38,7 +44,8 @@ fn johnson_batch_count_scales_with_memory() {
     let batches = |mem: u64| {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem));
         let mut store = TileStore::new(200, &StorageBackend::Memory).unwrap();
-        ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default())
+        let opts = JohnsonOptions::default();
+        ooc_johnson_supervised(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
             .unwrap()
             .num_batches
     };
@@ -83,8 +90,8 @@ fn simulated_time_increases_under_memory_pressure() {
     let time = |mem: u64| {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(mem));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
-        init_store_from_graph(&g, &mut store).unwrap();
-        ooc_floyd_warshall(&mut dev, &mut store, &FwOptions::default())
+        let opts = FwOptions::default();
+        ooc_floyd_warshall_guarded(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
             .unwrap()
             .sim_seconds
     };
@@ -124,7 +131,9 @@ fn k80_profile_is_slower_than_v100() {
     let time = |profile: DeviceProfile| {
         let mut dev = GpuDevice::new(profile.with_memory_bytes(16 << 20));
         let mut store = TileStore::new(400, &StorageBackend::Memory).unwrap();
-        let stats = ooc_johnson(&mut dev, &g, &mut store, &JohnsonOptions::default()).unwrap();
+        let opts = JohnsonOptions::default();
+        let stats = ooc_johnson_supervised(&mut dev, &g, &mut store, &opts, &Supervisor::unarmed())
+            .unwrap();
         assert!(
             stats.batch_size as u32 >= dev.profile().saturating_blocks,
             "batch must saturate the device"
