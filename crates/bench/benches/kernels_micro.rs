@@ -1,6 +1,8 @@
 //! Micro-benchmarks of the building blocks: min-plus multiply, in-device
-//! blocked Floyd-Warshall, Near-Far SSSP and the k-way partitioner.
+//! blocked Floyd-Warshall, Near-Far SSSP, the k-way partitioner, and
+//! the tile store's row digest against byte-serial FNV-1a.
 
+use apsp_core::tile_store::{fnv1a, row_digest, FNV_OFFSET_BASIS};
 use apsp_cpu::blocked_fw::blocked_floyd_warshall_exec;
 use apsp_cpu::{DistMatrix, ExecBackend};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
@@ -92,11 +94,41 @@ fn bench_partition(c: &mut Criterion) {
     group.finish();
 }
 
+/// Integrity-hash throughput: every row of a 2304 × 2304 distance
+/// matrix (21 MiB, the durable-johnson benchmark's result) through the
+/// store's lane-parallel row digest and through byte-serial FNV-1a.
+/// GB/s = 0.0212 / (seconds per iteration).
+fn bench_row_digest(c: &mut Criterion) {
+    let n = 2304usize;
+    let g = gnp(n, 4.0 / n as f64, WeightRange::default(), 11);
+    let m = DistMatrix::from_graph(&g);
+    let bytes: Vec<u8> = m.as_slice().iter().flat_map(|v| v.to_le_bytes()).collect();
+    let row_bytes = n * std::mem::size_of::<u32>();
+    let mut group = c.benchmark_group("row_hash_2304x2304");
+    group.sample_size(10);
+    group.bench_function("row_digest", |b| {
+        b.iter(|| {
+            bytes
+                .chunks_exact(row_bytes)
+                .fold(0u64, |acc, row| acc ^ row_digest(row))
+        })
+    });
+    group.bench_function("fnv1a", |b| {
+        b.iter(|| {
+            bytes
+                .chunks_exact(row_bytes)
+                .fold(0u64, |acc, row| acc ^ fnv1a(row, FNV_OFFSET_BASIS))
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_minplus,
     bench_fw,
     bench_sssp,
-    bench_partition
+    bench_partition,
+    bench_row_digest
 );
 criterion_main!(benches);

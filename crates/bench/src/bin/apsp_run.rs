@@ -23,8 +23,8 @@
 //!   --fallback               on an unrecoverable algorithm failure, mask it
 //!                            and re-enter the selector instead of erroring
 //!   --sdc-guard off|checksum|full   silent-corruption guard level
-//!                            (default off): checksum re-verifies per-panel
-//!                            FNV hashes at every barrier, full adds the
+//!                            (default off): checksum re-verifies per-row
+//!                            digests at every barrier, full adds the
 //!                            semantic ABFT invariants (zero diagonal, INF
 //!                            ceiling, monotone row sums, sampled triangle
 //!                            inequality) and arms the recovery ladder

@@ -31,16 +31,19 @@
 //!   dominate.
 //!
 //! Every case records wall-clock seconds for each backend, the
-//! per-backend speedups over scalar, the resolved thread count, and an
-//! FNV-1a checksum of the result — which must be bit-identical across
-//! all backends or the binary exits non-zero.
+//! per-backend speedups over scalar, the resolved thread count, and a
+//! checksum of the result (the tile store's row digest) — which must be
+//! bit-identical across all backends or the binary exits non-zero.
 //!
 //! `--smoke` additionally gates the silent-corruption guard's overhead:
 //! a representative out-of-core run with `--sdc-guard checksum` may cost
 //! at most 5% wall-clock over the unguarded run (plus a 10 ms floor so
-//! timer noise at smoke sizes cannot flake the gate).
+//! timer noise at smoke sizes cannot flake the gate), and Johnson's on a
+//! disk store at n = 320 — where the guard hashes the whole matrix at
+//! every batch barrier — at most 1.7× the unguarded run.
 
 use apsp_core::options::{Algorithm, SdcGuardMode};
+use apsp_core::tile_store::row_digest;
 use apsp_core::{apsp, ApspOptions, RunReport, StorageBackend};
 use apsp_cpu::parallel::minplus_tile_exec;
 use apsp_cpu::ExecBackend;
@@ -49,17 +52,15 @@ use apsp_graph::generators::{gnp, WeightRange};
 use apsp_graph::{CsrGraph, Dist, INF};
 use std::time::Instant;
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// Bound of the Johnson's disk-store SDC-overhead gate: guarded over
+/// unguarded wall-clock at n = 320 (see `main`). On a 2-core AVX2 host,
+/// 8 smoke runs per side measured 2.47–2.72× with byte-serial FNV-1a
+/// checksums and 0.84–1.22× with the lane-parallel row digest.
+const JOHNSON_DISK_GUARD_MAX_RATIO: f64 = 1.7;
 
-fn fnv1a_u32s(values: &[Dist], mut hash: u64) -> u64 {
-    for v in values {
-        for b in v.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+fn checksum(values: &[Dist]) -> u64 {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    row_digest(&bytes)
 }
 
 /// Deterministic operand matrix: mostly finite weights with INF holes,
@@ -173,7 +174,7 @@ fn bench_minplus(n: usize, reps: usize) -> CaseResult {
         scalar_secs,
         parallel_secs,
         simd_secs,
-        checksum: fnv1a_u32s(&c_scalar, FNV_OFFSET_BASIS),
+        checksum: checksum(&c_scalar),
         bit_identical: c_scalar == c_parallel && c_scalar == c_simd,
         telemetry: None,
     }
@@ -220,7 +221,7 @@ fn run_ooc(
         .expect("checksum read failed")
         .first()
         .copied()
-        .unwrap_or(FNV_OFFSET_BASIS);
+        .unwrap_or(0);
     (secs, checksum, result.telemetry)
 }
 
@@ -557,6 +558,45 @@ fn main() {
         println!(
             "sdc overhead gate passed: checksum {checksum:.4}s vs off {off:.4}s \
              (budget {budget:.4}s)"
+        );
+
+        // SDC-overhead gate on Johnson's with a disk store at n = 320,
+        // where every batch barrier's full registry sweep and every
+        // verified row read hash the whole matrix: the checksum guard's
+        // wall-clock, relative to the unguarded run, is bounded by
+        // JOHNSON_DISK_GUARD_MAX_RATIO. Best-of per side, the sides
+        // interleaved so host drift taxes both equally.
+        let johnson_graph = gnp(320, 0.06, WeightRange::default(), 0xBE7C);
+        let disk = StorageBackend::Disk(std::env::temp_dir().join("apsp-bench-kernels"));
+        let (mut off, mut checksum) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..reps.max(5) {
+            for (mode, best) in [
+                (SdcGuardMode::Off, &mut off),
+                (SdcGuardMode::Checksum, &mut checksum),
+            ] {
+                let (s, _, _) = run_ooc(
+                    &johnson_graph,
+                    Algorithm::Johnson,
+                    &disk,
+                    ExecBackend::parallel(),
+                    None,
+                    mode,
+                    false,
+                );
+                *best = best.min(s);
+            }
+        }
+        let ratio = checksum / off;
+        if ratio > JOHNSON_DISK_GUARD_MAX_RATIO {
+            eprintln!(
+                "FAIL: sdc checksum guard on johnson-disk n=320 costs {checksum:.4}s vs \
+                 {off:.4}s unguarded ({ratio:.2}x > {JOHNSON_DISK_GUARD_MAX_RATIO}x)"
+            );
+            std::process::exit(1);
+        }
+        println!(
+            "sdc overhead gate passed: johnson-disk n=320 checksum {checksum:.4}s vs off \
+             {off:.4}s ({ratio:.2}x <= {JOHNSON_DISK_GUARD_MAX_RATIO}x)"
         );
 
         // CI gate: the largest smoke min-plus shape is the contract the

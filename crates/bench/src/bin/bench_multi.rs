@@ -15,8 +15,9 @@
 //! increasing size plus two heterogeneous V100/K80 mixes, on one fixed
 //! partition (`k = max(sizes)`, at least 8) so every run schedules the
 //! same components and only the fleet varies. Records the simulated
-//! makespan, per-phase seconds, work-stealing migrations, and an FNV-1a
-//! checksum of the result matrix per fleet.
+//! makespan, per-phase seconds, work-stealing migrations, and a
+//! checksum of the result matrix per fleet (the tile store's row digest
+//! over the whole matrix).
 //!
 //! Two gates, exit 1 on violation:
 //!
@@ -24,6 +25,7 @@
 //! * the homogeneous makespan curve never rises as devices are added.
 
 use apsp_core::options::BoundaryOptions;
+use apsp_core::tile_store::row_digest;
 use apsp_core::{
     ooc_boundary_multi_supervised, MultiGpuStats, StorageBackend, Supervisor, TileStore,
 };
@@ -32,18 +34,9 @@ use apsp_graph::generators::{grid_2d, GridOptions, WeightRange};
 use apsp_graph::{CsrGraph, Dist};
 use std::time::Instant;
 
-const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(values: &[Dist]) -> u64 {
-    let mut hash = FNV_OFFSET_BASIS;
-    for v in values {
-        for b in v.to_le_bytes() {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(FNV_PRIME);
-        }
-    }
-    hash
+fn checksum(values: &[Dist]) -> u64 {
+    let bytes: Vec<u8> = values.iter().flat_map(|v| v.to_le_bytes()).collect();
+    row_digest(&bytes)
 }
 
 struct FleetCase {
@@ -78,7 +71,7 @@ fn run_fleet(g: &CsrGraph, case: &FleetCase, opts: &BoundaryOptions) -> FleetRow
         label: case.label.clone(),
         devices: case.profiles.len(),
         stats,
-        checksum: fnv1a(matrix.as_slice()),
+        checksum: checksum(matrix.as_slice()),
         wall_secs,
         homogeneous: case.homogeneous,
     }

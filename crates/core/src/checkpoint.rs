@@ -4,14 +4,22 @@
 //!
 //! * `state-{a,b}.bin` — a full snapshot of the [`TileStore`] matrix,
 //!   written with the store's atomic [`TileStore::persist`] (temp file +
-//!   `sync_all` + rename). Commits alternate between the two slots so the
-//!   snapshot named by the manifest is never the one being replaced.
+//!   `sync_all` + rename + directory fsync). Commits alternate between
+//!   the two slots so the snapshot named by the manifest is never the
+//!   one being replaced.
 //! * `manifest` — a small versioned text file naming the live slot and
 //!   recording the run's identity (graph fingerprint, dimension), its
-//!   geometry + progress cursor, and per-row-panel FNV-1a checksums of
-//!   the snapshot *as read back from disk*. The manifest ends in a
+//!   geometry + progress cursor, and per-row-panel
+//!   [`panel_checksum`](crate::tile_store::panel_checksum)s of the
+//!   snapshot *as read back from disk*. The manifest ends in an FNV-1a
 //!   self-checksum line and is itself written atomically — renaming it
 //!   into place is the commit point of the whole checkpoint.
+//!
+//! Both renames are followed by an fsync of the checkpoint directory,
+//! so the snapshot rename is durable before the manifest that names it
+//! is written, and a returned commit survives power loss: without the
+//! directory fsyncs a power cut could keep the manifest rename yet lose
+//! the snapshot rename it depends on.
 //!
 //! Recovery is exact, not approximate, because the three out-of-core
 //! algorithms only ever move store cells *downward* toward the metric
@@ -29,13 +37,16 @@
 //! [`ApspError::Corruption`]. Wrong distances are never an outcome.
 
 use crate::error::ApspError;
-use crate::tile_store::{fnv1a, TileStore, FNV_OFFSET_BASIS};
+use crate::tile_store::{fnv1a, sync_dir, TileStore, FNV_OFFSET_BASIS};
 use apsp_graph::{CsrGraph, VertexId};
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Manifest format version this build writes and understands.
-pub const MANIFEST_VERSION: u32 = 1;
+/// Manifest format version this build writes and understands. Version
+/// 2 records [`panel_checksum`](crate::tile_store::panel_checksum)s;
+/// version 1 recorded byte-serial FNV-1a panel checksums and is rejected
+/// as [`ApspError::Corruption`] naming its version, never compared.
+pub const MANIFEST_VERSION: u32 = 2;
 
 /// Rows per checksum panel recorded in new manifests. Small enough that
 /// a corrupt region is localized, large enough that the manifest stays
@@ -106,8 +117,9 @@ pub struct Manifest {
     pub state_file: String,
     /// Rows per checksum panel.
     pub panel_rows: usize,
-    /// FNV-1a checksum of each consecutive `panel_rows`-row panel of the
-    /// snapshot, as read back from disk at commit time.
+    /// [`panel_checksum`](crate::tile_store::panel_checksum) of each
+    /// consecutive `panel_rows`-row panel of the snapshot, as read back
+    /// from disk at commit time.
     pub checksums: Vec<u64>,
     /// The progress cursor.
     pub progress: Progress,
@@ -175,20 +187,24 @@ impl Checkpoint {
     /// inactive slot, is re-opened and checksummed from disk, and only
     /// then does the manifest rename make it the live checkpoint — a
     /// crash anywhere in between leaves the previous checkpoint intact.
+    ///
+    /// The read-back is one pass: each snapshot row is read and hashed
+    /// once, and that digest both checks the snapshot's persisted footer
+    /// and yields the manifest's checksums (the manifest's panels are
+    /// the footer's, [`DEFAULT_PANEL_ROWS`] = `SDC_PANEL_ROWS`).
     pub fn commit(&self, store: &TileStore, progress: &Progress) -> Result<(), ApspError> {
         let slot = self.next_slot.get();
         let state_path = self.dir.join(Self::slot_name(slot));
         store.persist(&state_path)?;
         // Checksum what is actually on disk, not what we think we wrote.
-        let snapshot = TileStore::open(&state_path, self.n)?;
-        let checksums = snapshot.panel_checksums(DEFAULT_PANEL_ROWS.min(self.n.max(1)))?;
-        drop(snapshot);
+        let panel_rows = DEFAULT_PANEL_ROWS.min(self.n.max(1));
+        let checksums = TileStore::open(&state_path, self.n)?.panel_checksums(panel_rows)?;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             fingerprint: self.fingerprint,
             n: self.n,
             state_file: Self::slot_name(slot).to_string(),
-            panel_rows: DEFAULT_PANEL_ROWS.min(self.n.max(1)),
+            panel_rows,
             checksums,
             progress: *progress,
         };
@@ -330,19 +346,21 @@ fn remove_if_present(path: &Path) -> io::Result<()> {
 }
 
 /// Serialize `m` and rename it into place (temp sibling + `sync_all` +
-/// rename — same discipline as [`TileStore::persist`]).
+/// rename + directory fsync — same discipline as [`TileStore::persist`]).
 fn write_manifest_atomic(path: &Path, m: &Manifest) -> io::Result<()> {
     let body = serialize_manifest(m);
-    let dir = path.parent().filter(|p| !p.as_os_str().is_empty());
-    let tmp = dir
-        .unwrap_or_else(|| Path::new("."))
-        .join(format!(".manifest.tmp.{}", std::process::id()));
+    let dir = path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .unwrap_or_else(|| Path::new("."));
+    let tmp = dir.join(format!(".manifest.tmp.{}", std::process::id()));
     let result = (|| -> io::Result<()> {
         use std::io::Write;
         let mut f = std::fs::File::create(&tmp)?;
         f.write_all(body.as_bytes())?;
         f.sync_all()?;
-        std::fs::rename(&tmp, path)
+        std::fs::rename(&tmp, path)?;
+        sync_dir(dir)
     })();
     if result.is_err() {
         let _ = std::fs::remove_file(&tmp);
@@ -422,7 +440,9 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
         .ok_or("missing `apsp-checkpoint <version>` header")?;
     if version != MANIFEST_VERSION {
         return Err(format!(
-            "manifest version {version} is not supported (this build writes {MANIFEST_VERSION})"
+            "manifest format version {version} is not supported (this build reads and writes \
+             version {MANIFEST_VERSION}; version 1 recorded FNV-1a panel checksums) — delete \
+             the checkpoint to start over"
         ));
     }
 
@@ -749,6 +769,54 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let err = ckpt.load().unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+    }
+
+    #[test]
+    fn version_1_manifest_is_rejected_naming_its_version() {
+        let g = gnp(30, 0.1, WeightRange::default(), 14);
+        let dir = tmp("manifest_v1");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        let progress = Progress::Johnson {
+            batch_size: 5,
+            next_row: 10,
+        };
+        ckpt.commit(&seeded_store(30, 8), &progress).unwrap();
+        // A well-formed FNV-era manifest: valid self-checksum, version 1.
+        let mut m = ckpt.load().unwrap().unwrap();
+        m.version = 1;
+        std::fs::write(dir.join("manifest"), serialize_manifest(&m)).unwrap();
+        let err = ckpt.load().unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        let mut store = TileStore::new(30, &StorageBackend::Memory).unwrap();
+        let err = ckpt.resume(&mut store, "johnson", Some).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+    }
+
+    #[test]
+    fn fnv_era_snapshot_is_corruption_naming_its_version() {
+        let g = gnp(30, 0.1, WeightRange::default(), 15);
+        let dir = tmp("snapshot_v1");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        ckpt.commit(
+            &seeded_store(30, 9),
+            &Progress::Johnson {
+                batch_size: 5,
+                next_row: 10,
+            },
+        )
+        .unwrap();
+        let m = ckpt.load().unwrap().unwrap();
+        // Retag the snapshot's footer as the version-1 (FNV-1a) format.
+        let state = dir.join(&m.state_file);
+        let mut bytes = std::fs::read(&state).unwrap();
+        let at = 16 + 30 * 30 * 4;
+        bytes[at..at + 8].copy_from_slice(b"APSPSUMS");
+        std::fs::write(&state, &bytes).unwrap();
+        let mut store = TileStore::new(30, &StorageBackend::Memory).unwrap();
+        let err = ckpt.restore_into(&m, &mut store).unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+        assert!(err.to_string().contains("format version 1"), "{err}");
     }
 
     #[test]

@@ -36,14 +36,17 @@ pub enum SdcGuardMode {
     /// the final matrix undetected.
     #[default]
     Off,
-    /// The tile store keeps a per-row FNV checksum registry, verified on
-    /// every read and re-verified in full at each barrier and at run
+    /// The tile store keeps a per-row checksum registry (the
+    /// lane-parallel `tile_store::row_digest`), verified on every
+    /// full-row read and re-verified in full at each barrier and at run
     /// end. Catches at-rest corruption of host-resident tiles
     /// deterministically. Every read hashes the rows it returns, and
     /// every barrier rehashes the whole n×n matrix, so the added host
     /// work is O(n²) per barrier — O(n² · barriers) per run (rounds for
     /// Floyd-Warshall, batches for Johnson's, flush groups for the
-    /// boundary algorithm) on top of the per-read hashing.
+    /// boundary algorithm) on top of the per-read hashing. The digest
+    /// runs at several GB/s, so on a disk store one sweep costs about
+    /// one page-cache read of the matrix.
     Checksum,
     /// [`SdcGuardMode::Checksum`] plus semantic (ABFT) invariants at
     /// every barrier: per-row distance sums must not increase across a

@@ -2,7 +2,7 @@
 //!
 //! The tile store's checksum registry (see `tile_store`) catches
 //! corruption of *at-rest* host data: a bit that flips between a write
-//! and the next read no longer matches its recorded FNV hash. What the
+//! and the next read no longer matches its recorded row digest. What the
 //! registry cannot see is corruption that happens *in flight* — a flip
 //! inside a device buffer between upload and download produces a wrong
 //! result panel that the store then dutifully checksums as legitimate.

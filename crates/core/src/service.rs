@@ -50,7 +50,7 @@ use crate::error::{ApspError, ApspErrorKind};
 use crate::ooc_johnson::ooc_johnson_sources;
 use crate::options::{Algorithm, ApspOptions, CheckpointOptions};
 use crate::supervisor::{splitmix64, Supervisor};
-use crate::tile_store::{fnv1a, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
+use crate::tile_store::{block_panel_checksums, fnv1a, FNV_OFFSET_BASIS, SDC_PANEL_ROWS};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 use apsp_graph::{CsrGraph, Dist, VertexId};
 
@@ -344,8 +344,9 @@ pub struct ResultRows {
     pub sources: Option<Vec<VertexId>>,
     /// Row-major distances, `rows() × n`.
     pub data: Vec<Dist>,
-    /// FNV-1a per [`SDC_PANEL_ROWS`]-row panel, computed at insert time
-    /// and re-verified on every cache hit.
+    /// [`panel_checksum`](crate::tile_store::panel_checksum) per
+    /// [`SDC_PANEL_ROWS`]-row panel, computed at insert time and
+    /// re-verified on every cache hit.
     checksums: Vec<u64>,
 }
 
@@ -372,22 +373,7 @@ impl ResultRows {
     }
 
     fn compute_checksums(n: usize, data: &[Dist]) -> Vec<u64> {
-        if n == 0 || data.is_empty() {
-            return Vec::new();
-        }
-        let rows = data.len() / n;
-        let num_panels = rows.div_ceil(SDC_PANEL_ROWS);
-        let mut sums = Vec::with_capacity(num_panels);
-        for p in 0..num_panels {
-            let start = p * SDC_PANEL_ROWS * n;
-            let end = ((p + 1) * SDC_PANEL_ROWS * n).min(data.len());
-            let mut h = FNV_OFFSET_BASIS;
-            for v in &data[start..end] {
-                h = fnv1a(&v.to_le_bytes(), h);
-            }
-            sums.push(h);
-        }
-        sums
+        block_panel_checksums(data, n, SDC_PANEL_ROWS, 1)
     }
 
     /// Re-verify every panel checksum — the integrity gate a cache hit
@@ -1195,6 +1181,26 @@ mod tests {
             devices: vec![DeviceProfile::v100().with_memory_bytes(512 << 10)],
             ..ServiceConfig::default()
         })
+    }
+
+    #[test]
+    fn result_rows_verify_catches_a_one_bit_flip_in_any_panel() {
+        // 150 rows of 37: three panels, the last one short.
+        let (n, rows) = (37, 150);
+        let data: Vec<Dist> = (0..(rows * n) as u32)
+            .map(|v| v.wrapping_mul(2_654_435_761))
+            .collect();
+        let clean = ResultRows::new(n, None, data);
+        assert!(clean.verify());
+        assert_eq!(clean.checksums.len(), rows.div_ceil(SDC_PANEL_ROWS));
+        for panel in 0..clean.checksums.len() {
+            for (row, bit) in [(0, 0), (SDC_PANEL_ROWS / 2, 31), (SDC_PANEL_ROWS - 1, 13)] {
+                let i = (panel * SDC_PANEL_ROWS + row).min(rows - 1);
+                let mut bad = clean.clone();
+                bad.data[i * n + (row + bit) % n] ^= 1 << bit;
+                assert!(!bad.verify(), "panel {panel} row {i} bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -39,12 +39,19 @@ const PERSIST_MAGIC: u64 = u64::from_le_bytes(*b"APSPTILE");
 /// rejected even when its byte length happens to match.
 const PERSIST_HEADER_BYTES: u64 = 16;
 
-/// Magic tag opening the optional per-panel checksum footer
-/// [`TileStore::persist`] appends after the payload. [`TileStore::open`]
-/// accepts files with or without the footer (pre-footer persists stay
-/// readable); when present, each panel is verified against its recorded
-/// checksum on the first read that touches it.
-const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"APSPSUMS");
+/// Magic tag opening the per-panel checksum footer (format version 2:
+/// [`panel_checksum`]s of [`row_digest`]s) that [`TileStore::persist`]
+/// appends after the payload. [`TileStore::open`] accepts files with or
+/// without a footer (pre-footer persists stay readable); when present,
+/// each panel is verified against its recorded checksum on the first
+/// read that touches it.
+const FOOTER_MAGIC: u64 = u64::from_le_bytes(*b"APSPSUM2");
+
+/// Footer magic of format version 1, whose panel checksums were
+/// byte-serial FNV-1a. [`TileStore::open`] rejects such files as
+/// `InvalidData` naming the version: their checksums cannot be checked
+/// by this build, and a mismatch must never be mistaken for damage.
+const FOOTER_MAGIC_V1: u64 = u64::from_le_bytes(*b"APSPSUMS");
 
 /// Footer prelude: the footer magic plus the panel count, both
 /// little-endian `u64`, followed by one `u64` checksum per panel.
@@ -161,9 +168,10 @@ struct CrashState {
 }
 
 /// FNV-1a over `bytes`, continuing from `hash` (seed with
-/// [`FNV_OFFSET_BASIS`]). Shared with the checkpoint manifest's
-/// self-checksum so one implementation guards both layers.
-pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
+/// [`FNV_OFFSET_BASIS`]). Byte-serial, so it is reserved for short
+/// metadata — manifest and calibration self-checksums, graph, profile
+/// and options fingerprints. Bulk matrix data uses [`row_digest`].
+pub fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
     for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01B3);
@@ -172,7 +180,106 @@ pub(crate) fn fnv1a(bytes: &[u8], mut hash: u64) -> u64 {
 }
 
 /// The FNV-1a 64-bit offset basis — the seed for [`fnv1a`].
-pub(crate) const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+pub const FNV_OFFSET_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// Independent `u64` lanes of [`row_digest`]; one 64-byte chunk feeds
+/// one word to each.
+const DIGEST_LANES: usize = 8;
+const DIGEST_CHUNK: usize = DIGEST_LANES * 8;
+/// Odd multiplier of the digest step (2⁶⁴/φ rounded to odd).
+const DIGEST_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+/// Seed of lane 0 (lane `l` starts at `DIGEST_SEED + l`) and of the
+/// panel fold.
+const DIGEST_SEED: u64 = 0x2545_F491_4F6C_DD1D;
+
+/// One digest step: absorb word `w` into state `h`. A bijection of `h`
+/// for fixed `w` (xor, odd multiply and xorshift are each invertible),
+/// so a difference in `h` or in `w` alone always survives the step; the
+/// xorshift carries high-bit differences back down, which a bare
+/// multiply would leave for the next word to cancel.
+#[inline(always)]
+fn digest_step(h: u64, w: u64) -> u64 {
+    let x = (h ^ w).wrapping_mul(DIGEST_MUL);
+    x ^ (x >> 32)
+}
+
+/// Lane-parallel digest of one row's bytes — the checksum of every bulk
+/// integrity check (SDC registry, persisted footer, checkpoint manifest,
+/// service result cache). Eight independent lanes each absorb one
+/// little-endian `u64` of every 64-byte chunk, so the multiply chains
+/// overlap instead of serializing on one state as FNV-1a does; a short
+/// tail is zero-padded into a last chunk, and the byte length seeds the
+/// final fold of the lanes. Plain Rust, identical on every host and
+/// byte order.
+pub fn row_digest(bytes: &[u8]) -> u64 {
+    let mut lanes: [u64; DIGEST_LANES] = std::array::from_fn(|l| DIGEST_SEED + l as u64);
+    let mut absorb = |chunk: &[u8]| {
+        for (h, w) in lanes.iter_mut().zip(chunk.chunks_exact(8)) {
+            *h = digest_step(*h, u64::from_le_bytes(w.try_into().unwrap()));
+        }
+    };
+    let mut chunks = bytes.chunks_exact(DIGEST_CHUNK);
+    for chunk in &mut chunks {
+        absorb(chunk);
+    }
+    let tail = chunks.remainder();
+    if !tail.is_empty() {
+        let mut last = [0u8; DIGEST_CHUNK];
+        last[..tail.len()].copy_from_slice(tail);
+        absorb(&last);
+    }
+    lanes
+        .into_iter()
+        .fold(DIGEST_SEED ^ bytes.len() as u64, digest_step)
+}
+
+/// A panel's checksum: the ordered fold of its rows' [`row_digest`]s.
+/// Every panel checksum in the system — persisted footer, checkpoint
+/// manifest, [`TileStore::panel_checksums`], the service's result
+/// cache — is this one definition, so each can be derived from row
+/// digests an earlier check already computed.
+pub fn panel_checksum(row_digests: impl IntoIterator<Item = u64>) -> u64 {
+    row_digests.into_iter().fold(DIGEST_SEED, digest_step)
+}
+
+/// [`row_digest`] of a row of distances.
+fn dist_digest(row: &[Dist]) -> u64 {
+    row_digest(cast_bytes(row))
+}
+
+/// [`panel_checksum`] of each `panel_rows`-row panel of a contiguous
+/// row-major block of `n`-wide rows (the last panel may be shorter),
+/// panels split across up to `threads` threads.
+pub(crate) fn block_panel_checksums(
+    data: &[Dist],
+    n: usize,
+    panel_rows: usize,
+    threads: usize,
+) -> Vec<u64> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let panel_len = panel_rows.saturating_mul(n);
+    let mut out = vec![0u64; data.len().div_ceil(panel_len)];
+    let shared = SharedSliceMut::new(&mut out);
+    par_bands_weighted(out.len(), threads, 1, panel_len, |band| {
+        // SAFETY: each band writes a disjoint range of `out`.
+        let out = unsafe { shared.slice() };
+        for p in band {
+            let start = p * panel_len;
+            let panel = &data[start..start.saturating_add(panel_len).min(data.len())];
+            out[p] = panel_checksum(panel.chunks_exact(n).map(dist_digest));
+        }
+    });
+    out
+}
+
+/// Fsync directory `dir`, making a rename into it durable: without
+/// this a power loss can keep a later rename while losing an earlier
+/// one.
+pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
+}
 
 /// One spill file of a disk-backed store.
 struct DiskShard {
@@ -242,7 +349,7 @@ enum Backing {
 }
 
 /// Live state of the silent-corruption guard (see
-/// [`TileStore::set_sdc_guard`]): one FNV checksum per row, plus a
+/// [`TileStore::set_sdc_guard`]): one [`row_digest`] per row, plus a
 /// dirty flag for rows whose checksum is stale after a partial (block)
 /// write. Full-row writes re-hash eagerly from the data being written
 /// (no I/O amplification); partial writes only mark dirty, and the
@@ -291,6 +398,13 @@ pub struct TileStore {
 /// Minimum rows per band for the store's staging copies — below this a
 /// band is cheaper to run inline than to hand to a thread.
 const STORE_MIN_ROWS_PER_BAND: usize = 64;
+
+/// Bytes per system call of the store's sequential whole-matrix passes
+/// (the guard's unaccounted row scans read this much at a time, at
+/// least one row; [`TileStore::persist`] buffers this much per write):
+/// large enough to amortize the call over many rows, small enough to
+/// stay cache-resident while the rows are hashed.
+const BULK_IO_BYTES: usize = 1 << 20;
 
 impl std::fmt::Debug for TileStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -525,7 +639,7 @@ impl TileStore {
     }
 
     /// Enable (or disable, with [`SdcGuardMode::Off`]) the
-    /// silent-corruption guard: a per-row FNV checksum registry seeded
+    /// silent-corruption guard: a per-row [`row_digest`] registry seeded
     /// from the store's *current* contents. Full-row reads verify
     /// against the registry; [`Self::verify_checksums`] sweeps the whole
     /// registry at barriers and run end. A mismatch surfaces as a typed
@@ -540,20 +654,10 @@ impl TileStore {
         }
         let n = self.n;
         let mut rows = vec![0u64; n];
-        match &self.backing {
-            Backing::Memory(data) => {
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    *sum = fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS);
-                }
-            }
-            Backing::Disk(..) => {
-                let mut row = vec![0 as Dist; n];
-                for (i, sum) in rows.iter_mut().enumerate() {
-                    self.row_unaccounted_into(i, &mut row)?;
-                    *sum = fnv1a(cast_bytes(&row), FNV_OFFSET_BASIS);
-                }
-            }
-        }
+        self.scan_rows(0..n, |i, row| {
+            rows[i] = dist_digest(row);
+            Ok(())
+        })?;
         self.sdc = Some(Mutex::new(SdcState {
             mode,
             rows,
@@ -608,38 +712,19 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let n = self.n;
         let mut state = sdc.lock();
         let state = &mut *state;
-        match &self.backing {
-            Backing::Memory(data) => {
-                for i in 0..n {
-                    let hash = fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS);
-                    if state.dirty[i] {
-                        state.rows[i] = hash;
-                        state.dirty[i] = false;
-                        state.consumed[i] = false;
-                    } else if hash != state.rows[i] {
-                        return Err(self.sdc_mismatch(i, state.consumed[i]));
-                    }
-                }
+        self.scan_rows(0..self.n, |i, row| {
+            let hash = dist_digest(row);
+            if state.dirty[i] {
+                state.rows[i] = hash;
+                state.dirty[i] = false;
+                state.consumed[i] = false;
+            } else if hash != state.rows[i] {
+                return Err(self.sdc_mismatch(i, state.consumed[i]));
             }
-            Backing::Disk(..) => {
-                let mut row = vec![0 as Dist; n];
-                for i in 0..n {
-                    self.row_unaccounted_into(i, &mut row)?;
-                    let hash = fnv1a(cast_bytes(&row), FNV_OFFSET_BASIS);
-                    if state.dirty[i] {
-                        state.rows[i] = hash;
-                        state.dirty[i] = false;
-                        state.consumed[i] = false;
-                    } else if hash != state.rows[i] {
-                        return Err(self.sdc_mismatch(i, state.consumed[i]));
-                    }
-                }
-            }
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// Re-seed the checksum registry for `rows` from their *current*
@@ -654,24 +739,13 @@ impl TileStore {
         let Some(sdc) = &self.sdc else {
             return Ok(());
         };
-        let n = self.n;
-        let mut buf = vec![0 as Dist; n];
         let mut state = sdc.lock();
-        for i in rows {
-            let hash = match &self.backing {
-                Backing::Memory(data) => {
-                    fnv1a(cast_bytes(&data[i * n..(i + 1) * n]), FNV_OFFSET_BASIS)
-                }
-                Backing::Disk(..) => {
-                    self.row_unaccounted_into(i, &mut buf)?;
-                    fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS)
-                }
-            };
-            state.rows[i] = hash;
+        self.scan_rows(rows, |i, row| {
+            state.rows[i] = dist_digest(row);
             state.dirty[i] = false;
             state.consumed[i] = false;
-        }
-        Ok(())
+            Ok(())
+        })
     }
 
     /// The typed-SDC `io::Error` for a checksum mismatch on row `i`.
@@ -725,6 +799,42 @@ impl TileStore {
         }
     }
 
+    /// Visit `rows` in order through unaccounted reads (see
+    /// [`Self::row_unaccounted_into`]): memory rows in place, disk rows
+    /// up to [`BULK_IO_BYTES`] per positional read.
+    fn scan_rows<F>(&self, rows: std::ops::Range<usize>, mut f: F) -> io::Result<()>
+    where
+        F: FnMut(usize, &[Dist]) -> io::Result<()>,
+    {
+        let n = self.n;
+        if rows.is_empty() {
+            return Ok(());
+        }
+        match &self.backing {
+            Backing::Memory(data) => {
+                for i in rows {
+                    f(i, &data[i * n..(i + 1) * n])?;
+                }
+            }
+            Backing::Disk(d) => {
+                let row_bytes = n * std::mem::size_of::<Dist>();
+                let per_read = (BULK_IO_BYTES / row_bytes).clamp(1, rows.len());
+                let mut buf = vec![0 as Dist; per_read * n];
+                let mut i = rows.start;
+                while i < rows.end {
+                    let take = per_read.min(rows.end - i);
+                    let chunk = &mut buf[..take * n];
+                    d.read_exact_at(cast_bytes_mut(chunk), (i * row_bytes) as u64)?;
+                    for (k, row) in chunk.chunks_exact(n).enumerate() {
+                        f(i + k, row)?;
+                    }
+                    i += take;
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// Record fresh checksums for full rows just written from `rows`
     /// (one or more consecutive `n`-wide rows starting at `row_start`).
     fn sdc_record_rows(&mut self, row_start: usize, rows: &[Dist]) {
@@ -732,7 +842,7 @@ impl TileStore {
         if let Some(sdc) = &mut self.sdc {
             let state = &mut *sdc.lock();
             for (k, chunk) in rows.chunks_exact(n).enumerate() {
-                state.rows[row_start + k] = fnv1a(cast_bytes(chunk), FNV_OFFSET_BASIS);
+                state.rows[row_start + k] = dist_digest(chunk);
                 state.dirty[row_start + k] = false;
                 state.consumed[row_start + k] = false;
             }
@@ -752,14 +862,20 @@ impl TileStore {
 
     /// Verify one full row's just-read data against the registry (skips
     /// dirty rows — their recorded checksum is legitimately stale).
-    fn sdc_verify_row_data(&self, i: usize, data: &[Dist]) -> io::Result<()> {
-        if let Some(sdc) = &self.sdc {
-            let state = sdc.lock();
-            if !state.dirty[i] && fnv1a(cast_bytes(data), FNV_OFFSET_BASIS) != state.rows[i] {
-                return Err(self.sdc_mismatch(i, state.consumed[i]));
-            }
+    /// Returns the row's digest when the check computed it.
+    fn sdc_verify_row_data(&self, i: usize, data: &[Dist]) -> io::Result<Option<u64>> {
+        let Some(sdc) = &self.sdc else {
+            return Ok(None);
+        };
+        let state = sdc.lock();
+        if state.dirty[i] {
+            return Ok(None);
         }
-        Ok(())
+        let hash = dist_digest(data);
+        if hash != state.rows[i] {
+            return Err(self.sdc_mismatch(i, state.consumed[i]));
+        }
+        Ok(Some(hash))
     }
 
     /// Mark rows as read by accounted I/O (see [`SdcState::consumed`]).
@@ -797,7 +913,7 @@ impl TileStore {
             };
             if let Some((hash, consumed)) = expect {
                 self.row_unaccounted_into(i, &mut buf)?;
-                if fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS) != hash {
+                if dist_digest(&buf) != hash {
                     return Err(self.sdc_mismatch(i, consumed));
                 }
             }
@@ -829,7 +945,7 @@ impl TileStore {
             if self.sdc.is_some() {
                 let mut buf = vec![0 as Dist; self.n];
                 self.row_unaccounted_into(row, &mut buf)?;
-                let hash = fnv1a(cast_bytes(&buf), FNV_OFFSET_BASIS);
+                let hash = dist_digest(&buf);
                 if let Some(sdc) = &mut self.sdc {
                     let state = &mut *sdc.lock();
                     state.rows[row] = hash;
@@ -896,38 +1012,52 @@ impl TileStore {
     /// overlapping `rows` is hashed and checked, surfacing a typed
     /// [`crate::ApspError::Corruption`] on mismatch.
     fn open_verify_panels(&self, rows: std::ops::Range<usize>) -> io::Result<()> {
-        let Some(ov) = &self.open_verify else {
-            return Ok(());
-        };
-        if rows.is_empty() {
+        if self.open_verify.is_none() || rows.is_empty() {
             return Ok(());
         }
         let lo = rows.start / SDC_PANEL_ROWS;
         let hi = (rows.end - 1) / SDC_PANEL_ROWS;
-        let mut buf = vec![0 as Dist; self.n];
         for p in lo..=hi {
-            let expect = {
-                let pending = ov.pending.lock();
-                match pending.get(p) {
-                    Some(&Some(h)) => h,
-                    _ => continue,
-                }
-            };
+            if self.open_pending(p).is_none() {
+                continue;
+            }
             let start = p * SDC_PANEL_ROWS;
             let end = ((p + 1) * SDC_PANEL_ROWS).min(self.n);
-            let mut hash = FNV_OFFSET_BASIS;
-            for i in start..end {
-                self.row_unaccounted_into(i, &mut buf)?;
-                hash = fnv1a(cast_bytes(&buf), hash);
-            }
-            if hash != expect {
-                return Err(io::Error::other(CorruptionMark {
-                    detail: format!(
-                        "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
-                         checksum on first read"
-                    ),
-                }));
-            }
+            let mut digests = Vec::with_capacity(end - start);
+            self.scan_rows(start..end, |_, row| {
+                digests.push(dist_digest(row));
+                Ok(())
+            })?;
+            self.open_settle(p, panel_checksum(digests))?;
+        }
+        Ok(())
+    }
+
+    /// Panel `p`'s recorded footer checksum, while it still awaits its
+    /// first-read verification.
+    fn open_pending(&self, p: usize) -> Option<u64> {
+        let ov = self.open_verify.as_ref()?;
+        ov.pending.lock().get(p).copied().flatten()
+    }
+
+    /// Check panel `p`'s freshly computed checksum `actual` against its
+    /// pending footer entry (a no-op once verified): a match retires the
+    /// entry, a mismatch is a typed [`crate::ApspError::Corruption`].
+    fn open_settle(&self, p: usize, actual: u64) -> io::Result<()> {
+        let Some(expect) = self.open_pending(p) else {
+            return Ok(());
+        };
+        if actual != expect {
+            let start = p * SDC_PANEL_ROWS;
+            let end = ((p + 1) * SDC_PANEL_ROWS).min(self.n);
+            return Err(io::Error::other(CorruptionMark {
+                detail: format!(
+                    "persisted matrix panel {p} (rows {start}..{end}) fails its recorded \
+                     checksum on first read"
+                ),
+            }));
+        }
+        if let Some(ov) = &self.open_verify {
             ov.pending.lock()[p] = None;
         }
         Ok(())
@@ -1117,29 +1247,51 @@ impl TileStore {
 
     /// Read full row `i`.
     pub fn read_row(&self, i: usize) -> io::Result<Vec<Dist>> {
+        let mut row = vec![0 as Dist; self.n];
+        self.read_row_into(i, &mut row, true)?;
+        Ok(row)
+    }
+
+    /// [`Self::read_row`] into `buf`, returning the row's [`row_digest`]
+    /// when the registry check computed it, so a caller that needs the
+    /// digest too never hashes the row twice. With `check_footer` false
+    /// the caller takes over the first-read footer check of the row's
+    /// panel (see [`Self::panel_checksums`]).
+    fn read_row_into(
+        &self,
+        i: usize,
+        buf: &mut [Dist],
+        check_footer: bool,
+    ) -> io::Result<Option<u64>> {
         assert!(i < self.n);
         self.crash_tick(1)?;
         self.supervision_tick(1)?;
         self.count_rows(1, 0);
-        self.open_verify_panels(i..i + 1)?;
-        let row = match &self.backing {
-            Backing::Memory(data) => data[i * self.n..(i + 1) * self.n].to_vec(),
+        if check_footer {
+            self.open_verify_panels(i..i + 1)?;
+        }
+        match &self.backing {
+            Backing::Memory(data) => buf.copy_from_slice(&data[i * self.n..(i + 1) * self.n]),
             Backing::Disk(d) => {
-                let mut row = vec![0 as Dist; self.n];
                 let offset = (i * self.n * std::mem::size_of::<Dist>()) as u64;
                 read_at(
                     d,
                     self.faults.as_ref(),
                     self.supervision.as_ref(),
-                    cast_bytes_mut(&mut row),
+                    cast_bytes_mut(buf),
                     offset,
                 )?;
-                row
             }
-        };
-        self.sdc_verify_row_data(i, &row)?;
+        }
+        let digest = self.sdc_verify_row_data(i, buf)?;
         self.sdc_mark_consumed(i..i + 1);
-        Ok(row)
+        Ok(digest)
+    }
+
+    /// [`Self::read_row_into`], always returning the row's digest.
+    fn read_row_digest(&self, i: usize, buf: &mut [Dist], check_footer: bool) -> io::Result<u64> {
+        let digest = self.read_row_into(i, buf, check_footer)?;
+        Ok(digest.unwrap_or_else(|| dist_digest(buf)))
     }
 
     /// Read one element — convenience for spot checks; row-granular I/O
@@ -1169,15 +1321,25 @@ impl TileStore {
     }
 
     /// Persist the matrix to `path`: a 16-byte header (magic + the
-    /// dimension `n` as little-endian `u64`s) followed by the raw
-    /// little-endian row-major `u32` payload, so a computed result
-    /// outlives the store. Readable again with [`TileStore::open`],
-    /// which checks the header before trusting the payload.
+    /// dimension `n` as little-endian `u64`s), the raw little-endian
+    /// row-major `u32` payload, then a footer of per-panel
+    /// [`panel_checksum`]s over [`SDC_PANEL_ROWS`]-row panels, so a
+    /// computed result outlives the store. Readable again with
+    /// [`TileStore::open`], which checks the header before trusting the
+    /// payload and each panel against the footer on its first read.
     ///
-    /// The write is **atomic**: data lands in a temporary sibling file,
-    /// is `sync_all`ed, and only then renamed over `path` — a crash or
-    /// `ENOSPC` mid-persist can never leave a torn file at `path`
-    /// (either the old content or the new content is there, whole).
+    /// A `Disk` backing is read back row by row through the accounted
+    /// path (crash, supervision and fault ordinals as in
+    /// [`Self::read_row`]). Each row is hashed once: the same digest
+    /// serves the guard registry's check and the footer. The payload
+    /// goes out in large buffered writes.
+    ///
+    /// The write is **atomic and durable**: data lands in a temporary
+    /// sibling file, is `sync_all`ed, renamed over `path`, and the
+    /// directory is fsynced — a crash or `ENOSPC` mid-persist can never
+    /// leave a torn file at `path` (either the old content or the new
+    /// content is there, whole), and a returned persist survives power
+    /// loss.
     ///
     /// A `Disk`-backed store refuses to persist into its own spill
     /// directory: the target could collide with (or be cleaned up
@@ -1212,53 +1374,48 @@ impl TileStore {
             std::process::id()
         ));
         let result = (|| -> io::Result<()> {
-            let mut out = OpenOptions::new()
+            use std::io::Write;
+            let file = OpenOptions::new()
                 .write(true)
                 .create(true)
                 .truncate(true)
                 .open(&tmp)?;
-            use std::io::Write;
+            let mut out = io::BufWriter::with_capacity(BULK_IO_BYTES, file);
             out.write_all(&PERSIST_MAGIC.to_le_bytes())?;
             out.write_all(&(self.n as u64).to_le_bytes())?;
-            let num_panels = self.n.div_ceil(SDC_PANEL_ROWS);
-            let mut footer = Vec::with_capacity(num_panels);
-            match &self.backing {
+            let footer = match &self.backing {
                 Backing::Memory(data) => {
                     self.crash_tick(self.n as u64)?; // parity with the disk backing's n row reads
                     self.supervision_tick(self.n as u64)?;
                     out.write_all(cast_bytes(data))?;
-                    for p in 0..num_panels {
-                        let lo = p * SDC_PANEL_ROWS * self.n;
-                        let hi = (((p + 1) * SDC_PANEL_ROWS) * self.n).min(data.len());
-                        footer.push(fnv1a(cast_bytes(&data[lo..hi]), FNV_OFFSET_BASIS));
-                    }
+                    let threads = self.exec.resolved_threads();
+                    block_panel_checksums(data, self.n, SDC_PANEL_ROWS, threads)
                 }
                 Backing::Disk(..) => {
-                    let mut hash = FNV_OFFSET_BASIS;
+                    let mut row = vec![0 as Dist; self.n];
+                    let mut digests = Vec::with_capacity(self.n);
                     for i in 0..self.n {
-                        let row = self.read_row(i)?;
+                        digests.push(self.read_row_digest(i, &mut row, true)?);
                         out.write_all(cast_bytes(&row))?;
-                        hash = fnv1a(cast_bytes(&row), hash);
-                        if (i + 1).is_multiple_of(SDC_PANEL_ROWS) {
-                            footer.push(hash);
-                            hash = FNV_OFFSET_BASIS;
-                        }
                     }
-                    if !self.n.is_multiple_of(SDC_PANEL_ROWS) {
-                        footer.push(hash);
-                    }
+                    digests
+                        .chunks(SDC_PANEL_ROWS)
+                        .map(|panel| panel_checksum(panel.iter().copied()))
+                        .collect()
                 }
-            }
+            };
             // Per-panel checksum footer: first reads through `open`
             // verify each panel against it, so at-rest damage to the
             // file surfaces typed instead of as wrong distances.
             out.write_all(&FOOTER_MAGIC.to_le_bytes())?;
-            out.write_all(&(num_panels as u64).to_le_bytes())?;
+            out.write_all(&(footer.len() as u64).to_le_bytes())?;
             for h in &footer {
                 out.write_all(&h.to_le_bytes())?;
             }
-            out.sync_all()?;
-            std::fs::rename(&tmp, path)
+            let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+            file.sync_all()?;
+            std::fs::rename(&tmp, path)?;
+            sync_dir(dir)
         })();
         if result.is_err() {
             let _ = std::fs::remove_file(&tmp);
@@ -1266,50 +1423,46 @@ impl TileStore {
         result
     }
 
-    /// FNV-1a checksum of each consecutive panel of `panel_rows` rows
-    /// (the last panel may be shorter). On a `Disk` backing the rows are
-    /// read back from the file, so the checksums attest to what is
-    /// actually on disk, not what was last handed to `write_*`.
+    /// [`panel_checksum`] of each consecutive panel of `panel_rows` rows
+    /// (the last panel may be shorter). Rows are read through the
+    /// accounted path, so on a `Disk` backing the checksums attest to
+    /// what is actually on disk, not what was last handed to `write_*`.
+    /// Each row is hashed once: the same digest serves the guard
+    /// registry's check, the first-read footer check of a store opened
+    /// from a persisted file (when `panel_rows` gives the footer's
+    /// panels) and the returned checksum.
     pub fn panel_checksums(&self, panel_rows: usize) -> io::Result<Vec<u64>> {
         assert!(panel_rows >= 1, "panel_rows must be positive");
-        // Each panel's FNV chain starts fresh from the offset basis, so
-        // the panels are independent and can be hashed in parallel on
-        // the memory backing. Crash/supervision ticks are charged in
-        // bulk up front (same totals as the row-at-a-time path).
+        let n = self.n;
+        // The memory backing hashes its panels in parallel. Crash and
+        // supervision ticks are charged in bulk up front (same totals as
+        // the row-at-a-time path).
         let threads = self.exec.resolved_threads();
         if threads > 1 {
             if let Backing::Memory(data) = &self.backing {
-                let n = self.n;
                 self.crash_tick(n as u64)?;
                 self.supervision_tick(n as u64)?;
-                let num_panels = n.div_ceil(panel_rows);
-                let mut out = vec![0u64; num_panels];
-                let shared = SharedSliceMut::new(&mut out);
-                par_bands_weighted(num_panels, threads, 1, panel_rows * n, |band| {
-                    // SAFETY: each band writes a disjoint range of `out`.
-                    let out = unsafe { shared.slice() };
-                    for p in band {
-                        let lo = p * panel_rows;
-                        let hi = ((p + 1) * panel_rows).min(n);
-                        // A memory-backed panel is one contiguous slice.
-                        out[p] = fnv1a(cast_bytes(&data[lo * n..hi * n]), FNV_OFFSET_BASIS);
-                    }
-                });
-                return Ok(out);
+                return Ok(block_panel_checksums(data, n, panel_rows, threads));
             }
         }
-        let mut out = Vec::with_capacity(self.n.div_ceil(panel_rows));
-        let mut hash = FNV_OFFSET_BASIS;
-        for i in 0..self.n {
-            let row = self.read_row(i)?;
-            hash = fnv1a(cast_bytes(&row), hash);
-            if (i + 1) % panel_rows == 0 {
-                out.push(hash);
-                hash = FNV_OFFSET_BASIS;
+        let footer_panels =
+            panel_rows == SDC_PANEL_ROWS || (panel_rows >= n && SDC_PANEL_ROWS >= n);
+        let mut out = Vec::with_capacity(n.div_ceil(panel_rows));
+        let mut row = vec![0 as Dist; n];
+        let mut digests = Vec::with_capacity(panel_rows.min(n));
+        for p in 0..n.div_ceil(panel_rows) {
+            // A panel still awaiting its footer check is checked here,
+            // from the digests this pass computes anyway.
+            let own_footer = footer_panels && self.open_pending(p).is_some();
+            digests.clear();
+            for i in p * panel_rows..((p + 1) * panel_rows).min(n) {
+                digests.push(self.read_row_digest(i, &mut row, !own_footer)?);
             }
-        }
-        if !self.n.is_multiple_of(panel_rows) {
-            out.push(hash);
+            let sum = panel_checksum(digests.iter().copied());
+            if own_footer {
+                self.open_settle(p, sum)?;
+            }
+            out.push(sum);
         }
         Ok(out)
     }
@@ -1374,6 +1527,13 @@ impl TileStore {
                 sums.chunks_exact(8)
                     .map(|c| Some(u64::from_le_bytes(c.try_into().unwrap())))
                     .collect()
+            } else if fmagic == FOOTER_MAGIC_V1 {
+                return Err(bad(format!(
+                    "{} carries a checksum footer of format version 1 (FNV-1a panel \
+                     checksums); this build reads footer version 2 only — re-persist the \
+                     matrix",
+                    path.as_ref().display()
+                )));
             } else {
                 return Err(bad(format!(
                     "{} carries an unrecognized checksum footer — damaged?",
@@ -1959,6 +2119,173 @@ mod tests {
             assert_eq!(before[1], after[1]);
             assert_ne!(before[2], after[2], "mutated panel must change");
         }
+    }
+
+    /// Every single- and two-bit flip of `row` changes its digest.
+    fn assert_all_flips_detected(row: &[u8]) {
+        let clean = row_digest(row);
+        let bits = row.len() * 8;
+        let mut buf = row.to_vec();
+        let flip = |buf: &mut [u8], b: usize| buf[b / 8] ^= 1 << (b % 8);
+        for a in 0..bits {
+            flip(&mut buf, a);
+            assert_ne!(
+                row_digest(&buf),
+                clean,
+                "{} bytes: flip of bit {a}",
+                row.len()
+            );
+            for b in a + 1..bits {
+                flip(&mut buf, b);
+                assert_ne!(
+                    row_digest(&buf),
+                    clean,
+                    "{} bytes: flips of bits {a} and {b}",
+                    row.len()
+                );
+                flip(&mut buf, b);
+            }
+            flip(&mut buf, a);
+        }
+    }
+
+    fn pseudo_random_bytes(len: usize, mut state: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn row_digest_catches_every_one_and_two_bit_flip() {
+        // A 256-byte row is four full 64-byte chunks: 2,096,128 pairs.
+        assert_all_flips_detected(&pseudo_random_bytes(256, 0x5EED));
+        // 200 bytes leaves an 8-byte tail in a zero-padded last chunk.
+        assert_all_flips_detected(&pseudo_random_bytes(200, 0xF00D));
+        // All-zero data, where a flip is the only set bit.
+        assert_all_flips_detected(&[0u8; 100]);
+    }
+
+    #[test]
+    fn row_digest_separates_lengths_and_lane_order() {
+        // Zero padding must not make a row equal to its padded self.
+        let row = pseudo_random_bytes(60, 7);
+        let mut padded = row.clone();
+        padded.extend_from_slice(&[0, 0, 0, 0]);
+        assert_ne!(row_digest(&row), row_digest(&padded));
+        assert_ne!(row_digest(&[]), row_digest(&[0]));
+        // Swapping two words between lanes changes the digest.
+        let a = pseudo_random_bytes(64, 9);
+        let mut b = a.clone();
+        b[..8].copy_from_slice(&a[8..16]);
+        b[8..16].copy_from_slice(&a[..8]);
+        assert_ne!(row_digest(&a), row_digest(&b));
+        // And panels are order-sensitive folds of their rows.
+        assert_ne!(panel_checksum([1, 2]), panel_checksum([2, 1]));
+    }
+
+    #[test]
+    fn memory_and_disk_backings_agree_on_panel_checksums() {
+        let n = 150; // panels of 64, 64 and 22 rows; rows not 64-byte multiples
+        let mut stores: Vec<TileStore> = backends()
+            .iter()
+            .map(|b| TileStore::new(n, b).unwrap())
+            .collect();
+        for (i, row) in pseudo_random_bytes(n * n * 4, 0xC0DE)
+            .chunks_exact(n * 4)
+            .enumerate()
+        {
+            let row: Vec<Dist> = row
+                .chunks_exact(4)
+                .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                .collect();
+            for s in &mut stores {
+                s.write_row(i, &row).unwrap();
+            }
+        }
+        for panel_rows in [1, 7, SDC_PANEL_ROWS, n, 2 * n] {
+            let mut sums: Vec<Vec<u64>> = Vec::new();
+            for s in &mut stores {
+                for exec in [ExecBackend::scalar(), ExecBackend::parallel()] {
+                    s.set_exec_backend(exec);
+                    sums.push(s.panel_checksums(panel_rows).unwrap());
+                }
+            }
+            assert_eq!(sums[0].len(), n.div_ceil(panel_rows));
+            for other in &sums[1..] {
+                assert_eq!(other, &sums[0], "panel_rows {panel_rows}");
+            }
+        }
+        // The persisted footer is the same definition.
+        let out = tmp_dir().join("footer_geometry");
+        std::fs::create_dir_all(&out).unwrap();
+        let target = out.join("m.bin");
+        stores[1].persist(&target).unwrap();
+        let bytes = std::fs::read(&target).unwrap();
+        let footer_at = PERSIST_HEADER_BYTES as usize + n * n * 4 + FOOTER_HEADER_BYTES as usize;
+        let footer: Vec<u64> = bytes[footer_at..]
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
+            .collect();
+        assert_eq!(footer, stores[0].panel_checksums(SDC_PANEL_ROWS).unwrap());
+        std::fs::remove_file(&target).unwrap();
+    }
+
+    #[test]
+    fn fnv_era_footer_is_rejected_naming_its_version() {
+        let out = tmp_dir().join("footer_v1");
+        std::fs::create_dir_all(&out).unwrap();
+        let target = out.join("m.bin");
+        TileStore::new(5, &StorageBackend::Memory)
+            .unwrap()
+            .persist(&target)
+            .unwrap();
+        // Rewrite the footer magic to the version-1 (FNV-1a) tag; the
+        // recorded checksums no longer match under this build's digest,
+        // which must not surface as a mismatch or as valid data.
+        let mut bytes = std::fs::read(&target).unwrap();
+        let at = PERSIST_HEADER_BYTES as usize + 5 * 5 * 4;
+        bytes[at..at + 8].copy_from_slice(b"APSPSUMS");
+        std::fs::write(&target, &bytes).unwrap();
+        let err = TileStore::open(&target, 5).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("format version 1"), "{err}");
+        std::fs::remove_file(&target).unwrap();
+    }
+
+    #[test]
+    fn panel_checksums_check_the_footer_of_an_opened_store() {
+        let out = tmp_dir().join("fused_footer_check");
+        std::fs::create_dir_all(&out).unwrap();
+        let target = out.join("m.bin");
+        let n = 70; // two footer panels
+        let mut s = TileStore::new(n, &StorageBackend::Memory).unwrap();
+        s.write_row(65, &vec![3; n]).unwrap();
+        s.persist(&target).unwrap();
+        let expect = s.panel_checksums(SDC_PANEL_ROWS).unwrap();
+        let clean = TileStore::open(&target, n).unwrap();
+        assert_eq!(clean.panel_checksums(SDC_PANEL_ROWS).unwrap(), expect);
+        drop(clean);
+        // Damage panel 1 on disk: the one-pass read-back reports it as
+        // the footer mismatch, typed, at every panel geometry.
+        let mut bytes = std::fs::read(&target).unwrap();
+        bytes[PERSIST_HEADER_BYTES as usize + (66 * n + 2) * 4] ^= 0x04;
+        std::fs::write(&target, &bytes).unwrap();
+        for panel_rows in [SDC_PANEL_ROWS, 10] {
+            let damaged = TileStore::open(&target, n).unwrap();
+            let err = damaged.panel_checksums(panel_rows).unwrap_err();
+            match crate::ApspError::from(err) {
+                crate::ApspError::Corruption { detail } => {
+                    assert!(detail.contains("panel 1"), "{detail}")
+                }
+                other => panic!("expected Corruption, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&target).unwrap();
     }
 
     #[test]
