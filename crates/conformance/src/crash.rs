@@ -28,7 +28,7 @@ use apsp_core::ooc_boundary::ooc_boundary_checkpointed_supervised;
 use apsp_core::ooc_fw::ooc_floyd_warshall_checkpointed_supervised;
 use apsp_core::ooc_johnson::ooc_johnson_checkpointed_supervised;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, Supervisor, TileStore};
+use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, StoreFaultPlan, Supervisor, TileStore};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -174,11 +174,11 @@ pub fn run_kill_resume(
         .map_err(|e| format!("stale checkpoint unclearable: {e}"))?;
     let mut dev = new_dev();
     let mut store = new_store()?;
-    store.arm_crash(u64::MAX);
+    store.arm_faults(StoreFaultPlan::crash_after(u64::MAX));
     run_checkpointed(algorithm, &mut dev, g, &mut store, &ckpt, cell)
         .map_err(|e| format!("uninterrupted checkpointed run failed: {e}"))?;
-    let total_ops = store.crash_ops();
-    store.disarm_crash();
+    let total_ops = store.fault_counts().row_ops;
+    store.disarm_faults();
     check_exact(&store, &reference, "after the uninterrupted run")?;
     if ckpt
         .load()
@@ -199,7 +199,7 @@ pub fn run_kill_resume(
     let crash_after = 1 + splitmix64(&mut s) % (total_ops - 1);
     let mut dev = new_dev();
     let mut store = new_store()?;
-    store.arm_crash(crash_after);
+    store.arm_faults(StoreFaultPlan::crash_after(crash_after));
     let interrupted_kind = match run_checkpointed(algorithm, &mut dev, g, &mut store, &ckpt, cell) {
         Err(e) => e.kind(),
         Ok(()) => {

@@ -2,9 +2,10 @@
 //!
 //! A [`FaultPlan`] is a pure function of its seed: it schedules device
 //! allocation failures (absorbed by the algorithms' retry drivers) and
-//! disk faults (short writes/reads, `ENOSPC`, latency — fed to
-//! [`TileStore::arm_faults`]). [`run_under_faults`] runs one algorithm
-//! under a plan and classifies the outcome:
+//! store faults (short writes/reads, `ENOSPC`, latency, hangs, bit flips
+//! — fed to [`TileStore::arm_faults`] as one [`StoreFaultPlan`]).
+//! [`run_under_faults`] runs one algorithm under a plan and classifies
+//! the outcome:
 //!
 //! * the run degrades gracefully and the matrix is **exact**, or
 //! * the run fails with a typed [`ApspError`] and the store is **not
@@ -20,7 +21,7 @@ use apsp_core::ooc_fw::ooc_floyd_warshall_guarded;
 use apsp_core::ooc_johnson::ooc_johnson_supervised;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions};
 use apsp_core::{
-    ApspError, ApspErrorKind, DiskFault, DiskFaultPlan, StorageBackend, Supervisor, TileStore,
+    ApspError, ApspErrorKind, DiskFault, StorageBackend, StoreFaultPlan, Supervisor, TileStore,
 };
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
@@ -139,9 +140,12 @@ impl FaultPlan {
         k.iter().filter(|b| **b).count()
     }
 
-    /// The disk half of the plan in [`TileStore`] form.
-    pub fn disk_plan(&self) -> DiskFaultPlan {
-        let mut plan = DiskFaultPlan::default();
+    /// The disk-fault half of the plan in [`TileStore::arm_faults`]
+    /// form. Bit flips are dropped: [`run_under_faults`] promises an
+    /// uncorrupted store, which a silent flip breaks by design, so they
+    /// are armed only by [`crate::sdc`]'s harness.
+    pub fn store_plan(&self) -> StoreFaultPlan {
+        let mut plan = StoreFaultPlan::default();
         for f in &self.faults {
             match *f {
                 Fault::ShortWrite { op } => plan.write_faults.push((op, DiskFault::ShortWrite)),
@@ -164,17 +168,6 @@ impl FaultPlan {
         for f in &self.faults {
             if let Fault::AllocFail { kth } = f {
                 dev.inject_alloc_failure(*kth);
-            }
-        }
-    }
-
-    /// Arm the silent-corruption half of the plan on a store. Only
-    /// meaningful when an SDC guard is (or will be) active on `store`;
-    /// [`crate::sdc::run_under_bit_flip`] is the harness that does both.
-    pub fn arm_store(&self, store: &mut TileStore) {
-        for f in &self.faults {
-            if let Fault::BitFlip { ordinal, bit } = f {
-                store.arm_bit_flip(*ordinal, *bit);
             }
         }
     }
@@ -257,7 +250,7 @@ pub fn run_under_faults(
             }
         }
     };
-    store.arm_faults(plan.disk_plan());
+    store.arm_faults(plan.store_plan());
     plan.arm_device(&dev);
 
     let first = run_algorithm(algorithm, &mut dev, g, &mut store);
@@ -343,7 +336,7 @@ mod tests {
     }
 
     #[test]
-    fn disk_plan_routes_directions_correctly() {
+    fn store_plan_routes_directions_correctly() {
         let plan = FaultPlan {
             seed: 0,
             faults: vec![
@@ -353,11 +346,22 @@ mod tests {
                 Fault::Latency { op: 9, micros: 11 },
                 Fault::Hang { op: 13, micros: 17 },
                 Fault::AllocFail { kth: 1 },
+                Fault::BitFlip {
+                    ordinal: 19,
+                    bit: 23,
+                },
             ],
         };
-        let disk = plan.disk_plan();
-        assert_eq!(disk.write_faults.len(), 4);
-        assert!(disk.write_faults.contains(&(13, DiskFault::HangMicros(17))));
-        assert_eq!(disk.read_faults, vec![(5, DiskFault::ShortRead)]);
+        let store = plan.store_plan();
+        assert_eq!(store.write_faults.len(), 4);
+        assert!(store
+            .write_faults
+            .contains(&(13, DiskFault::HangMicros(17))));
+        assert_eq!(store.read_faults, vec![(5, DiskFault::ShortRead)]);
+        assert!(
+            store.bit_flips.is_empty(),
+            "bit flips are the sdc harness's"
+        );
+        assert_eq!(store.crash_after, None);
     }
 }

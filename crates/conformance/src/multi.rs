@@ -22,7 +22,7 @@ use apsp_core::multi_gpu::{
 };
 use apsp_core::ooc_boundary::ooc_boundary_supervised;
 use apsp_core::options::BoundaryOptions;
-use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, Supervisor, TileStore};
+use apsp_core::{ApspErrorKind, Checkpoint, StorageBackend, StoreFaultPlan, Supervisor, TileStore};
 use apsp_cpu::{bgl_plus_apsp, DistMatrix};
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -238,11 +238,11 @@ pub fn run_multi_kill_resume(
     // Step 1: uninterrupted run — matrix A and the op budget.
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
-    store.arm_crash(u64::MAX);
+    store.arm_faults(StoreFaultPlan::crash_after(u64::MAX));
     ooc_boundary_multi_checkpointed_supervised(&mut devs, g, &mut store, &opts, &ckpt, &sup)
         .map_err(|e| format!("uninterrupted multi run failed: {e}"))?;
-    let total_ops = store.crash_ops();
-    store.disarm_crash();
+    let total_ops = store.fault_counts().row_ops;
+    store.disarm_faults();
     let baseline = store
         .to_dist_matrix()
         .map_err(|e| format!("baseline store unreadable: {e}"))?;
@@ -266,7 +266,7 @@ pub fn run_multi_kill_resume(
     let crash_after = 1 + splitmix64(&mut s) % (total_ops - 1);
     let mut devs = new_fleet(kill_devices);
     let mut store = new_store()?;
-    store.arm_crash(crash_after);
+    store.arm_faults(StoreFaultPlan::crash_after(crash_after));
     let interrupted_kind = match ooc_boundary_multi_checkpointed_supervised(
         &mut devs, g, &mut store, &opts, &ckpt, &sup,
     ) {

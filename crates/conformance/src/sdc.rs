@@ -27,7 +27,7 @@ use apsp_core::ooc_fw::ooc_floyd_warshall_guarded;
 use apsp_core::ooc_johnson::ooc_johnson_supervised;
 use apsp_core::options::{Algorithm, BoundaryOptions, FwOptions, JohnsonOptions, SdcGuardMode};
 use apsp_core::supervisor::Supervisor;
-use apsp_core::{ApspErrorKind, StorageBackend, TileStore};
+use apsp_core::{ApspErrorKind, StorageBackend, StoreFaultPlan, TileStore};
 use apsp_cpu::bgl_plus_apsp;
 use apsp_gpu_sim::{DeviceProfile, GpuDevice};
 
@@ -178,7 +178,9 @@ pub fn run_under_bit_flip(
         return unacceptable(format!("guard arming failed: {e}"));
     }
     match site {
-        FlipSite::Store { ordinal, bit } => store.arm_bit_flip(ordinal, bit),
+        FlipSite::Store { ordinal, bit } => {
+            store.arm_faults(StoreFaultPlan::bit_flip(ordinal, bit))
+        }
         FlipSite::Device { transfer, bit } => dev.inject_bit_flip(transfer, bit),
     }
 

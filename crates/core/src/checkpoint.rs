@@ -48,10 +48,12 @@ use std::path::{Path, PathBuf};
 /// as [`ApspError::Corruption`] naming its version, never compared.
 pub const MANIFEST_VERSION: u32 = 2;
 
-/// Rows per checksum panel recorded in new manifests. Small enough that
-/// a corrupt region is localized, large enough that the manifest stays
-/// tiny even for paper-scale matrices.
-pub const DEFAULT_PANEL_ROWS: usize = 64;
+/// Rows per checksum panel recorded in new manifests: the persisted
+/// footer's panels, so a commit takes its checksums from the check
+/// [`TileStore::open`] makes anyway. Small enough that a corrupt region
+/// is localized, large enough that the manifest stays tiny even for
+/// paper-scale matrices.
+pub const DEFAULT_PANEL_ROWS: usize = crate::tile_store::SDC_PANEL_ROWS;
 
 /// Where a run is, in units of its natural commit barrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -188,17 +190,17 @@ impl Checkpoint {
     /// then does the manifest rename make it the live checkpoint — a
     /// crash anywhere in between leaves the previous checkpoint intact.
     ///
-    /// The read-back is one pass: each snapshot row is read and hashed
-    /// once, and that digest both checks the snapshot's persisted footer
-    /// and yields the manifest's checksums (the manifest's panels are
-    /// the footer's, [`DEFAULT_PANEL_ROWS`] = `SDC_PANEL_ROWS`).
+    /// The read-back is [`TileStore::open`]'s check: each snapshot row
+    /// is read and hashed once, and the fold that verifies the
+    /// snapshot's footer yields the manifest's checksums (the manifest's
+    /// panels are the footer's).
     pub fn commit(&self, store: &TileStore, progress: &Progress) -> Result<(), ApspError> {
         let slot = self.next_slot.get();
         let state_path = self.dir.join(Self::slot_name(slot));
         store.persist(&state_path)?;
         // Checksum what is actually on disk, not what we think we wrote.
         let panel_rows = DEFAULT_PANEL_ROWS.min(self.n.max(1));
-        let checksums = TileStore::open(&state_path, self.n)?.panel_checksums(panel_rows)?;
+        let (_, checksums) = TileStore::open(&state_path, self.n)?;
         let manifest = Manifest {
             version: MANIFEST_VERSION,
             fingerprint: self.fingerprint,
@@ -265,7 +267,7 @@ impl Checkpoint {
     ) -> Result<(), ApspError> {
         assert_eq!(store.n(), manifest.n, "restore target dimension mismatch");
         let state_path = self.dir.join(&manifest.state_file);
-        let snapshot = TileStore::open(&state_path, manifest.n).map_err(|e| {
+        let (snapshot, footer) = TileStore::open(&state_path, manifest.n).map_err(|e| {
             if matches!(
                 e.kind(),
                 io::ErrorKind::InvalidData | io::ErrorKind::NotFound
@@ -277,9 +279,10 @@ impl Checkpoint {
                 e.into()
             }
         })?;
-        let actual = snapshot.panel_checksums(manifest.panel_rows)?;
-        if actual != manifest.checksums {
-            let first_bad = actual
+        // The footer's panels are the manifest's: `parse_manifest` admits
+        // no other panel height.
+        if footer != manifest.checksums {
+            let first_bad = footer
                 .iter()
                 .zip(&manifest.checksums)
                 .position(|(a, b)| a != b)
@@ -468,11 +471,7 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
                 state_file = Some(name.to_string());
             }
             "panel_rows" => {
-                let p = rest.trim().parse::<usize>().map_err(|_| "bad panel_rows")?;
-                if p == 0 {
-                    return Err("panel_rows must be positive".into());
-                }
-                panel_rows = Some(p);
+                panel_rows = Some(rest.trim().parse::<usize>().map_err(|_| "bad panel_rows")?);
             }
             "checksums" => {
                 let mut v = Vec::new();
@@ -487,6 +486,12 @@ fn parse_manifest(bytes: &[u8]) -> Result<Manifest, String> {
     }
     let n = n.ok_or("missing n")?;
     let panel_rows = panel_rows.ok_or("missing panel_rows")?;
+    if panel_rows != DEFAULT_PANEL_ROWS.min(n.max(1)) {
+        return Err(format!(
+            "panel_rows {panel_rows} is not the snapshot footer's panel height {}",
+            DEFAULT_PANEL_ROWS.min(n.max(1))
+        ));
+    }
     let checksums = checksums.ok_or("missing checksums")?;
     if checksums.len() != n.div_ceil(panel_rows) {
         return Err(format!(
@@ -791,6 +796,29 @@ mod tests {
         let mut store = TileStore::new(30, &StorageBackend::Memory).unwrap();
         let err = ckpt.resume(&mut store, "johnson", Some).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+    }
+
+    #[test]
+    fn manifest_with_a_foreign_panel_height_is_corruption() {
+        let g = gnp(30, 0.1, WeightRange::default(), 16);
+        let dir = tmp("panel_height");
+        let ckpt = Checkpoint::new(&dir, &g).unwrap();
+        ckpt.commit(
+            &seeded_store(30, 10),
+            &Progress::Johnson {
+                batch_size: 5,
+                next_row: 10,
+            },
+        )
+        .unwrap();
+        // Well-formed and self-consistent, but not the footer's panels.
+        let mut m = ckpt.load().unwrap().unwrap();
+        m.panel_rows = 7;
+        m.checksums = vec![0; 30usize.div_ceil(7)];
+        std::fs::write(dir.join("manifest"), serialize_manifest(&m)).unwrap();
+        let err = ckpt.load().unwrap_err();
+        assert_eq!(err.kind(), crate::ApspErrorKind::Corruption, "{err}");
+        assert!(err.to_string().contains("panel_rows 7"), "{err}");
     }
 
     #[test]

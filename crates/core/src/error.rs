@@ -222,8 +222,8 @@ impl std::fmt::Display for SdcMark {
 impl std::error::Error for SdcMark {}
 
 /// Marker payload for durable-state corruption detected inside the tile
-/// store's `io::Result` paths (e.g. a persisted spill file whose panel
-/// checksums no longer match on first read). Re-typed into
+/// store's `io::Result` paths (e.g. a persisted matrix whose panel
+/// checksums no longer match when it is opened). Re-typed into
 /// [`ApspError::Corruption`] at the `?` boundary.
 #[derive(Debug)]
 pub(crate) struct CorruptionMark {

@@ -66,4 +66,4 @@ pub use supervisor::{
     CancelToken, FallbackEvent, RetryPolicy, SupervisionEvent, SupervisionOptions, Supervisor,
 };
 pub use telemetry::{CalibrationRecord, PhaseSpan, RunReport, Telemetry};
-pub use tile_store::{DiskFault, DiskFaultPlan, StorageBackend, TileStore};
+pub use tile_store::{DiskFault, FaultCounts, StorageBackend, StoreFaultPlan, TileStore};

@@ -890,7 +890,7 @@ fn _type_check() -> Dist {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile_store::StorageBackend;
+    use crate::tile_store::{StorageBackend, StoreFaultPlan};
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, grid_2d, random_geometric, GridOptions, WeightRange};
@@ -1116,7 +1116,7 @@ mod tests {
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
         // Panels write ~17 rows per component, commits tick n = 100: die
         // after a couple of components committed.
-        store.arm_crash(300);
+        store.arm_faults(StoreFaultPlan::crash_after(300));
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let err = unarmed(&mut dev, &g, &mut store, &opts, Some(&ckpt)).unwrap_err();
         assert_eq!(err.kind(), crate::ApspErrorKind::Storage);
@@ -1155,7 +1155,7 @@ mod tests {
         for fleet in [false, true] {
             let dir = ckpt_dir(&format!("seed_conflict_{fleet}"));
             let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
-            store.arm_crash(300);
+            store.arm_faults(StoreFaultPlan::crash_after(300));
             let ckpt = Checkpoint::new(&dir, &g).unwrap();
             unarmed(&mut v100(), &g, &mut store, &opts, Some(&ckpt)).unwrap_err();
             let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
@@ -1187,7 +1187,7 @@ mod tests {
                 let mut dev = GpuDevice::new(DeviceProfile::v100());
                 let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
                 store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-                store.arm_bit_flip(after_ops, bit);
+                store.arm_faults(StoreFaultPlan::bit_flip(after_ops, bit));
                 let opts = BoundaryOptions {
                     num_components: Some(6),
                     batch_transfers: batch,
@@ -1216,7 +1216,7 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100());
         let mut store = TileStore::new(100, &StorageBackend::Memory).unwrap();
         store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(40, 9);
+        store.arm_faults(StoreFaultPlan::bit_flip(40, 9));
         let sup = Supervisor::new(
             &SupervisionOptions {
                 retry: RetryPolicy {

@@ -540,7 +540,7 @@ fn download_tile(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile_store::StorageBackend;
+    use crate::tile_store::{StorageBackend, StoreFaultPlan};
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, WeightRange};
@@ -749,7 +749,7 @@ mod tests {
             let mut dev = small_device();
             let mut store = TileStore::new(90, &StorageBackend::Memory).unwrap();
             store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-            store.arm_bit_flip(after_ops, bit);
+            store.arm_faults(StoreFaultPlan::bit_flip(after_ops, bit));
             let opts = FwOptions {
                 sdc_guard: SdcGuardMode::Checksum,
                 ..Default::default()
@@ -775,7 +775,7 @@ mod tests {
         let mut dev = small_device();
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(200, 9);
+        store.arm_faults(StoreFaultPlan::bit_flip(200, 9));
         let sup = Supervisor::new(
             &SupervisionOptions {
                 retry: RetryPolicy {
@@ -805,7 +805,7 @@ mod tests {
         // Fire after round 0's commit (~op 291 of 485), on a row that
         // gets re-read, so the detection is unlocalized and the round
         // rung restores the snapshot.
-        store.arm_bit_flip(380, 17);
+        store.arm_faults(StoreFaultPlan::bit_flip(380, 17));
         let ckpt = Checkpoint::new(ckpt_dir("sdc_restore"), &g).unwrap();
         let opts = FwOptions {
             sdc_guard: SdcGuardMode::Checksum,
@@ -842,7 +842,7 @@ mod tests {
         // Interrupted attempt: the store dies mid-run.
         let mut dev = small_device();
         let mut store = TileStore::new(97, &StorageBackend::Memory).unwrap();
-        store.arm_crash(400);
+        store.arm_faults(StoreFaultPlan::crash_after(400));
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let err =
             unarmed(&mut dev, &g, &mut store, &FwOptions::default(), Some(&ckpt)).unwrap_err();
@@ -868,7 +868,7 @@ mod tests {
         let mut store = TileStore::new(64, &StorageBackend::Memory).unwrap();
         // Past round 0 (init 64 + ~704 tile ops + 64 commit ops) so the
         // first round's commit has landed, but well before the run ends.
-        store.arm_crash(1000);
+        store.arm_faults(StoreFaultPlan::crash_after(1000));
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         unarmed(&mut dev, &g, &mut store, &opts16, Some(&ckpt)).unwrap_err();
         drop(store);

@@ -590,7 +590,7 @@ fn johnson_batches(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tile_store::StorageBackend;
+    use crate::tile_store::{StorageBackend, StoreFaultPlan};
     use apsp_cpu::bgl_plus_apsp;
     use apsp_gpu_sim::DeviceProfile;
     use apsp_graph::generators::{gnp, rmat, RmatParams, WeightRange};
@@ -809,7 +809,7 @@ mod tests {
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         // Batch writes tick 1 op, commits tick n = 150: op 200 lands in
         // the second commit, after the first one is durable.
-        store.arm_crash(200);
+        store.arm_faults(StoreFaultPlan::crash_after(200));
         let ckpt = Checkpoint::new(&dir, &g).unwrap();
         let err = unarmed(
             &mut dev,
@@ -856,7 +856,7 @@ mod tests {
             let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
             let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
             store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-            store.arm_bit_flip(after_ops, bit);
+            store.arm_faults(StoreFaultPlan::bit_flip(after_ops, bit));
             let opts = JohnsonOptions {
                 sdc_guard: SdcGuardMode::Checksum,
                 ..Default::default()
@@ -882,7 +882,7 @@ mod tests {
         let mut dev = GpuDevice::new(DeviceProfile::v100().with_memory_bytes(512 << 10));
         let mut store = TileStore::new(150, &StorageBackend::Memory).unwrap();
         store.set_sdc_guard(SdcGuardMode::Checksum).unwrap();
-        store.arm_bit_flip(60, 9);
+        store.arm_faults(StoreFaultPlan::bit_flip(60, 9));
         let sup = Supervisor::new(
             &SupervisionOptions {
                 retry: RetryPolicy {
